@@ -64,6 +64,16 @@ if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
 
+echo "==> worker panic payloads survive the parallel shim: one CPU and all CPUs"
+# These should_panic(expected = "precedes the checkpoint") tests panic inside
+# rayon-shim workers; a shim that swallows the payload fails them only when
+# more than one worker thread runs, so run them pinned and unpinned.
+for pin in "taskset -c 0" ""; do
+    $pin cargo test --release -q -p ftkr-inject --lib -- rejects_faults_before_the_checkpoint
+    $pin cargo test --release -q -p ftkr-patterns --lib -- \
+        fork_rejects_faults_that_precede_the_primed_prefix
+done
+
 echo "==> registry-wide spec-conformance harness (all ten apps)"
 cargo test --release -q --test conformance
 

@@ -24,6 +24,27 @@ pub use sp::{sp, sp_sized};
 
 use crate::spec::{App, AppSize};
 
+/// Builds one application at a problem size.
+type Builder = fn(AppSize) -> App;
+
+/// The registry: every application's canonical name and builder, in the
+/// paper's Table IV order.  The one place the name → builder mapping lives;
+/// [`all_apps_sized`], [`app_by_name_sized`] and [`canonical_name`] all
+/// read it.  The size knob scales the five promoted kernels (LU, BT, SP, DC,
+/// FT); the original five run their single calibrated size either way.
+const REGISTRY: [(&str, Builder); 10] = [
+    ("CG", |_| cg()),
+    ("MG", |_| mg()),
+    ("LU", lu_sized),
+    ("BT", bt_sized),
+    ("IS", |_| is()),
+    ("DC", dc_sized),
+    ("SP", sp_sized),
+    ("FT", ft_sized),
+    ("KMEANS", |_| kmeans()),
+    ("LULESH", |_| lulesh()),
+];
+
 /// All ten applications of the paper's evaluation, in Table IV order, at the
 /// quick (Class-S-style) problem size — the registry campaign plans resolve
 /// against.
@@ -31,22 +52,15 @@ pub fn all_apps() -> Vec<App> {
     all_apps_sized(AppSize::Quick)
 }
 
-/// All ten applications at a chosen problem size.  The size knob scales the
-/// five promoted kernels (LU, BT, SP, DC, FT); the original five run their
-/// single calibrated size either way.
+/// All ten applications at a chosen problem size.
 pub fn all_apps_sized(size: AppSize) -> Vec<App> {
-    vec![
-        cg(),
-        mg(),
-        lu_sized(size),
-        bt_sized(size),
-        is(),
-        dc_sized(size),
-        sp_sized(size),
-        ft_sized(size),
-        kmeans(),
-        lulesh(),
-    ]
+    REGISTRY.iter().map(|(_, build)| build(size)).collect()
+}
+
+/// The registry's canonical spelling of an application name, resolved
+/// case-insensitively without building anything.
+pub fn canonical_name(name: &str) -> Option<&'static str> {
+    registry_entry(name).map(|(canonical, _)| *canonical)
 }
 
 /// Look an application up by its (case-insensitive) name, at the quick size.
@@ -55,9 +69,15 @@ pub fn app_by_name(name: &str) -> Option<App> {
 }
 
 /// Look an application up by its (case-insensitive) name, at a chosen size.
+/// Builds only the requested application.
 pub fn app_by_name_sized(name: &str, size: AppSize) -> Option<App> {
-    let wanted = name.to_ascii_uppercase();
-    all_apps_sized(size).into_iter().find(|a| a.name == wanted)
+    registry_entry(name).map(|(_, build)| build(size))
+}
+
+fn registry_entry(name: &str) -> Option<&'static (&'static str, Builder)> {
+    REGISTRY
+        .iter()
+        .find(|(canonical, _)| canonical.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
@@ -78,6 +98,23 @@ mod tests {
         assert!(app_by_name("LULESH").is_some());
         assert!(app_by_name("kmeans").is_some());
         assert!(app_by_name("nope").is_none());
+        assert_eq!(canonical_name("nope"), None);
+        assert_eq!(canonical_name("Kmeans"), Some("KMEANS"));
+        // Every registry name, any spelling, builds exactly the matching
+        // `all_apps_sized` entry at both sizes.
+        for size in [AppSize::Quick, AppSize::ClassW] {
+            for listed in all_apps_sized(size) {
+                for spelling in [listed.name.to_string(), listed.name.to_ascii_lowercase()] {
+                    assert_eq!(canonical_name(&spelling), Some(listed.name));
+                    let found = app_by_name_sized(&spelling, size)
+                        .unwrap_or_else(|| panic!("{spelling} is in the registry"));
+                    assert_eq!(found.name, listed.name);
+                    assert_eq!(found.size, listed.size);
+                    assert_eq!(found.regions, listed.regions);
+                    assert!(found.module == listed.module, "{spelling} module differs");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,15 +29,14 @@ pub const REGION_APPS: [&str; 10] = [
 ];
 
 fn region_sessions(effort: &Effort) -> Vec<Session> {
-    // REGION_APPS equals the registry in Table-IV order, so build every app
-    // exactly once — a per-name `by_name_sized` lookup would construct the
-    // full ten-app registry (ten reference runs) per name.
-    let apps = ftkr_apps::all_apps_sized(effort.app_size);
-    debug_assert_eq!(
-        apps.iter().map(|a| a.name).collect::<Vec<_>>(),
-        REGION_APPS
-    );
-    apps.into_iter().map(Session::new).collect()
+    REGION_APPS
+        .iter()
+        .map(|name| {
+            let app = ftkr_apps::app_by_name_sized(name, effort.app_size)
+                .expect("REGION_APPS are registry names");
+            Session::new(app)
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------------------

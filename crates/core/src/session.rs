@@ -202,8 +202,8 @@ impl Session {
     /// Open a session by application name (the registry the campaign plans
     /// resolve against — always the quick problem size, so plan windows stay
     /// valid in any executor process).  Sized builds for the in-process
-    /// experiment drivers come from `ftkr_apps::all_apps_sized` +
-    /// [`Session::new`].
+    /// experiment drivers come from `ftkr_apps::app_by_name_sized` +
+    /// [`Session::new`].  Builds only the named application.
     pub fn by_name(name: &str) -> Option<Self> {
         app_by_name(name).map(Session::new)
     }

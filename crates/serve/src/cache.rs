@@ -1,5 +1,6 @@
-//! The shared session cache: one hot [`Session`] per `(application, size)`,
-//! LRU-evicted under a byte budget.
+//! The shared session cache: one hot [`Session`] per registry application
+//! (at the quick size campaign plans resolve against), LRU-evicted under a
+//! byte budget.
 //!
 //! The whole point of a resident campaign server is that the expensive
 //! artifacts of the fault-free run — the clean trace, the region partition,
@@ -8,6 +9,10 @@
 //! `Arc<Session>` handles; the `Session` itself is `Send + Sync` with
 //! internal lazy caches, so any number of worker threads can warm and share
 //! one instance concurrently.
+//!
+//! Entries are keyed by the registry's canonical name
+//! ([`canonical_name`]), so a hit builds nothing; a miss builds the one
+//! requested application, outside the cache lock.
 //!
 //! Sessions grow as their lazy caches fill ([`Session::resident_bytes`]),
 //! so the budget is enforced on every lookup: least-recently-used sessions
@@ -21,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use fliptracker::Session;
-use ftkr_apps::{app_by_name, AppSize};
+use ftkr_apps::{app_by_name, canonical_name};
 
 use crate::proto::CacheStats;
 
@@ -34,7 +39,8 @@ struct CacheEntry {
 /// The guarded interior of a [`SessionCache`].
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<(String, AppSize), CacheEntry>,
+    /// Keyed by the registry's canonical application name.
+    map: HashMap<&'static str, CacheEntry>,
     /// Logical clock advanced on every lookup (recency, not wall time).
     tick: u64,
     hits: u64,
@@ -42,7 +48,7 @@ struct CacheInner {
     evictions: u64,
 }
 
-/// A byte-budgeted LRU map from `(application, size)` to hot sessions.
+/// A byte-budgeted LRU map from registry application to hot session.
 pub struct SessionCache {
     budget: u64,
     inner: Mutex<CacheInner>,
@@ -67,31 +73,41 @@ impl SessionCache {
     /// size campaign plans resolve against.  `None` when the registry does
     /// not know the name.
     pub fn session(&self, app: &str) -> Option<Arc<Session>> {
-        // Canonicalize through the registry so "lu" and "LU" share one entry.
-        let app = app_by_name(app)?;
-        let key = (app.name.to_string(), app.size);
+        // "lu" and "LU" share one entry; resolving the name builds nothing.
+        let name = canonical_name(app)?;
+        let session = match self.touch(name, None) {
+            Some(hot) => hot,
+            // Build outside the lock: a miss constructs the application.
+            None => self.touch(name, Some(Arc::new(Session::new(app_by_name(name)?))))?,
+        };
+        self.enforce_budget();
+        Some(session)
+    }
+
+    /// Stamp `name` most recently used and hand out its resident session,
+    /// counting a hit.  When it is not resident, insert `built` (counting a
+    /// miss) if there is one.  A caller that built a session but lost the
+    /// race to insert it gets the winner's session and counts a hit, as
+    /// with [`Session::dddg`]: every caller converges on one `Arc`.
+    fn touch(&self, name: &'static str, built: Option<Arc<Session>>) -> Option<Arc<Session>> {
         let mut inner = self.inner.lock().expect("session cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(entry) = inner.map.get_mut(&key) {
+        if let Some(entry) = inner.map.get_mut(name) {
             entry.last_used = tick;
+            let hot = Arc::clone(&entry.session);
             inner.hits += 1;
-            let hot = Arc::clone(&inner.map[&key].session);
-            drop(inner);
-            self.enforce_budget();
             return Some(hot);
         }
+        let session = built?;
         inner.misses += 1;
-        let session = Arc::new(Session::new(app));
         inner.map.insert(
-            key.clone(),
+            name,
             CacheEntry {
                 session: Arc::clone(&session),
                 last_used: tick,
             },
         );
-        drop(inner);
-        self.enforce_budget();
         Some(session)
     }
 
@@ -115,7 +131,7 @@ impl SessionCache {
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(&name, _)| name)
                 .expect("map non-empty");
             inner.map.remove(&coldest);
             inner.evictions += 1;
@@ -213,6 +229,8 @@ mod tests {
         for r in &reports {
             assert_eq!(r, &cold);
         }
-        assert_eq!(cache.stats().sessions, 1, "one shared session served all");
+        let stats = cache.stats();
+        assert_eq!(stats.sessions, 1, "one shared session served all");
+        assert_eq!((stats.hits, stats.misses), (4, 1), "{stats:?}");
     }
 }

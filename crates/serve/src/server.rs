@@ -5,16 +5,17 @@
 //! lifecycle of a submission:
 //!
 //! 1. **Validate** — the plan's application is resolved through the cache
-//!    and its site population derived (warming the session); a plan that
-//!    does not resolve is refused with a typed [`WireError`] before any
-//!    work is queued.
+//!    (the job's one cache lookup) and its site population derived
+//!    (warming the session); a plan that does not resolve is refused with a
+//!    typed [`WireError`] before any work is queued.
 //! 2. **Split** — the plan becomes `k` shard plans via
-//!    [`CampaignPlan::shards`]; each is one pool job.
+//!    [`CampaignPlan::shards`]; each is one pool job carrying the session
+//!    resolved at submission.
 //! 3. **Execute** — workers run shards through the *shared* hot session
-//!    ([`Session::run_plan_analyzed`](fliptracker::Session::run_plan_analyzed));
-//!    clean runs, DDDGs, site lists and
+//!    ([`Session::run_plan_analyzed`]); clean runs, DDDGs, site lists and
 //!    fork-point checkpoints are computed once per application, not once
-//!    per request.
+//!    per request.  A job holds its session until its last shard lands, so
+//!    eviction cannot force a rebuild mid-job.
 //! 4. **Stream** — each completed shard is recorded and pushed to every
 //!    watcher as a [`Response::Delta`]; when the last shard lands, the
 //!    shard reports are merged in shard order into a [`Response::Final`]
@@ -38,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crossbeam::channel;
-use fliptracker::AnalyzedCampaignReport;
+use fliptracker::{AnalyzedCampaignReport, Session};
 use ftkr_inject::{CampaignPlan, CampaignReport, FailPlan, FailSite, IndexRange};
 
 use crate::cache::SessionCache;
@@ -341,7 +342,6 @@ fn submit(
         .sites(&plan.target, plan.class)
         .map_err(|e| WireError::new(WireErrorKind::Plan, &e))?;
     let population = sites.len() as u64 * 64;
-    let seed = plan.seed;
 
     let k = shards.clamp(1, plan.n_tests.max(1)) as usize;
     let shard_plans = plan.shards(k);
@@ -361,67 +361,57 @@ fn submit(
         },
     );
     for (shard, shard_plan) in shard_plans.into_iter().enumerate() {
-        let state = Arc::clone(state);
-        state.clone_spawn(job, shard as u64, shard_plan, chaos, population, seed);
+        let worker_state = Arc::clone(state);
+        let session = Arc::clone(&session);
+        let shard = ShardJob {
+            job,
+            shard: shard as u64,
+            plan: shard_plan,
+            chaos,
+            population,
+        };
+        state
+            .pool
+            .spawn(move || run_shard_job(&worker_state, &session, &shard));
     }
     Ok(job)
 }
 
-impl ServerState {
-    /// Queue one shard job on the pool (named helper so `submit` stays
-    /// readable).
-    #[allow(clippy::too_many_arguments)]
-    fn clone_spawn(
-        self: &Arc<Self>,
-        job: u64,
-        shard: u64,
-        shard_plan: CampaignPlan,
-        chaos: FailPlan,
-        population: u64,
-        seed: u64,
-    ) {
-        let state = Arc::clone(self);
-        self.pool.spawn(move || {
-            run_shard_job(&state, job, shard, &shard_plan, chaos, population, seed)
-        });
-    }
-}
-
-/// Execute one shard job: retry across worker deaths, degrade to
-/// harness-error tallies when the retries are exhausted, and record the
-/// result.
-fn run_shard_job(
-    state: &Arc<ServerState>,
+/// One queued shard of a submitted job.
+struct ShardJob {
     job: u64,
     shard: u64,
-    shard_plan: &CampaignPlan,
+    plan: CampaignPlan,
     chaos: FailPlan,
+    /// The job's site population × 64, carried by a degraded report.
     population: u64,
-    seed: u64,
-) {
+}
+
+/// Execute one shard job through the session resolved at submission: retry
+/// across worker deaths, degrade to harness-error tallies when the retries
+/// are exhausted, and record the result.
+fn run_shard_job(state: &ServerState, session: &Session, shard: &ShardJob) {
     let mut report = None;
     for attempt in 0..JOB_ATTEMPTS {
         let executed = catch_unwind(AssertUnwindSafe(|| {
             // The server's own fail point: a firing schedule kills this
             // "worker" exactly as an assert or OOM in the executor would.
-            chaos.trip(FailSite::WorkerJob, job_ordinal(shard, attempt));
-            let session = state
-                .cache
-                .session(&shard_plan.app)
-                .expect("validated at submission");
-            session.run_plan_analyzed(shard_plan)
+            shard
+                .chaos
+                .trip(FailSite::WorkerJob, job_ordinal(shard.shard, attempt));
+            session.run_plan_analyzed(&shard.plan)
         }));
         match executed {
             Ok(Ok(r)) => {
                 report = Some(r);
                 break;
             }
-            // A plan error past submission validation means the session
-            // was rebuilt into a state that refuses the plan — degrade
-            // like a lost worker rather than crash.
+            // The plan was validated against this very session at
+            // submission, so a plan error here is an executor defect —
+            // degrade like a lost worker rather than crash.
             Ok(Err(_)) => break,
             // The worker died (chaos or a real bug); the pool thread
-            // survives and the next attempt retries from the cache.
+            // survives and the next attempt retries on the same session.
             Err(_) => {
                 state.worker_panics.fetch_add(1, Ordering::SeqCst);
                 continue;
@@ -435,13 +425,14 @@ fn run_shard_job(
         }
         None => {
             state.shards_lost.fetch_add(1, Ordering::SeqCst);
-            let n = shard_plan
+            let n = shard
+                .plan
                 .shard
-                .intersect(IndexRange::full(shard_plan.n_tests))
+                .intersect(IndexRange::full(shard.plan.n_tests))
                 .len();
             (
                 AnalyzedCampaignReport {
-                    report: CampaignReport::harness_lost(n, population, seed),
+                    report: CampaignReport::harness_lost(n, shard.population, shard.plan.seed),
                     patterns: Default::default(),
                     tests_with_patterns: 0,
                 },
@@ -449,13 +440,13 @@ fn run_shard_job(
             )
         }
     };
-    complete_shard(state, job, shard, report, lost);
+    complete_shard(state, shard.job, shard.shard, report, lost);
 }
 
 /// Record a finished shard: store its report, stream the delta, and on the
 /// last shard merge (in shard order) and finalize.
 fn complete_shard(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     job: u64,
     shard: u64,
     report: AnalyzedCampaignReport,

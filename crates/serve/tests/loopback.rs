@@ -424,3 +424,64 @@ fn spmd_plans_are_refused_up_front_with_a_typed_error() {
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
 }
+
+#[test]
+fn each_job_makes_exactly_one_cache_lookup() {
+    let (addr, server) = spawn_server(quick_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let jobs = 4u64;
+    for seed in 0..jobs {
+        let plan = small_plan("IS", 9, 100 + seed);
+        let job = client.submit(&plan, 3, FailPlan::none()).expect("submit");
+        let served = client.watch(job, |_, _, _, _| {}).expect("watch");
+        assert_eq!(served, offline(&plan), "job {job} differs from offline");
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.shards_executed, 3 * jobs);
+    // Submission resolves the session once; its three shard jobs carry it.
+    assert_eq!(stats.cache.hits + stats.cache.misses, jobs, "{:?}", stats.cache);
+    assert_eq!(stats.cache.misses, 1, "{:?}", stats.cache);
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+#[test]
+fn a_session_evicted_before_its_shards_run_is_not_rebuilt() {
+    // One worker and a one-byte budget: every submission evicts the
+    // sessions submitted before it.  LU's 192 tests occupy the worker far
+    // longer than the IS and MG submissions take, so LU's later shards (and
+    // IS's) execute after the cache dropped their session.  The counts
+    // below hold whatever the interleaving: shard jobs never touch the
+    // cache.
+    let (addr, server) = spawn_server(ServerConfig {
+        workers: 1,
+        cache_budget: 1,
+        idle_timeout: Duration::from_secs(30),
+    });
+    let plans = [
+        small_plan("LU", 192, 41),
+        small_plan("IS", 12, 43),
+        small_plan("MG", 8, 47),
+    ];
+    let mut client = Client::connect(&addr).expect("connect");
+    let jobs: Vec<u64> = plans
+        .iter()
+        .map(|plan| client.submit(plan, 3, FailPlan::none()).expect("submit"))
+        .collect();
+    let stats = client.stats().expect("stats").cache;
+    assert_eq!(stats.evictions, 2, "LU and IS were evicted: {stats:?}");
+    assert_eq!(stats.sessions, 1, "only MG is resident: {stats:?}");
+
+    for (plan, &job) in plans.iter().zip(&jobs) {
+        let served = client.watch(job, |_, _, _, _| {}).expect("watch");
+        assert_eq!(served, offline(plan), "{} job differs from offline", plan.app);
+    }
+    // One miss per submission and nothing else: no shard job rebuilt the
+    // session its job lost to eviction.
+    let stats = client.stats().expect("stats").cache;
+    assert_eq!((stats.hits, stats.misses), (0, 3), "{stats:?}");
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
