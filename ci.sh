@@ -197,6 +197,13 @@ cargo test --release -q -p ftkr-bench --test chaos_convergence
 echo "==> benches + examples compile"
 cargo build --release --benches --examples
 
+echo "==> campaign benchmark (perfbench): builds against the public API, self-tests pass"
+# perfbench is a workspace of its own that calls the Vm::*_decoded and
+# Session entry points by path: an API change it depends on fails here, not
+# later in the benchmark run.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

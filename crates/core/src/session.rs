@@ -214,10 +214,13 @@ impl Session {
     }
 
     /// The pre-decoded dispatch tables of the application module (computed
-    /// once, shared by every campaign executor).  Decoded execution is
+    /// once, shared by every campaign executor and by the session's own
+    /// clean, scoped and traced faulty runs).  The decoded dispatch loop is
     /// bit-identical to the legacy interpreter in every observable — the
     /// equivalence the conformance and property suites hold over the whole
-    /// registry — so routing campaigns through it changes nothing but speed.
+    /// registry — so routing runs through it changes nothing but speed.
+    /// [`Session::checkpoint_at`] still replays on the legacy stepper: only
+    /// it can capture snapshots.
     pub fn decoded_module(&self) -> &DecodedModule {
         self.decoded
             .get_or_init(|| DecodedModule::decode(&self.app.module))
@@ -233,7 +236,7 @@ impl Session {
                 None => VmConfig::tracing(),
             };
             let result = Vm::new(config)
-                .run(&self.app.module)
+                .run_decoded(&self.app.module, self.decoded_module())
                 .expect("benchmark module must verify");
             assert!(
                 result.outcome.is_completed(),
@@ -261,7 +264,7 @@ impl Session {
                 return run.steps;
             }
             let result = Vm::new(VmConfig::default())
-                .run(&self.app.module)
+                .run_decoded(&self.app.module, self.decoded_module())
                 .expect("benchmark module must verify");
             assert!(
                 result.outcome.is_completed(),
@@ -307,7 +310,7 @@ impl Session {
             ..VmConfig::default()
         };
         Vm::new(config)
-            .run(&self.app.module)
+            .run_decoded(&self.app.module, self.decoded_module())
             .expect("benchmark module must verify")
     }
 
@@ -464,7 +467,7 @@ impl Session {
             ..VmConfig::default()
         };
         let run = Vm::new(config)
-            .run(&self.app.module)
+            .run_decoded(&self.app.module, self.decoded_module())
             .expect("benchmark module must verify");
         let _ = self.steps.set(run.steps);
         let wtrace = run.trace.expect("tracing enabled");

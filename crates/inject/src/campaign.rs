@@ -212,12 +212,13 @@ where
         }
     }
 
-    /// Execute every faulty run through the pre-decoded dispatch tables
+    /// Execute every faulty run in the VM's decoded dispatch loop
     /// ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`]) instead of the
-    /// legacy per-`Op` interpreter.  `decoded` must be
-    /// [`DecodedModule::decode`] of this campaign's module.  The decoded
-    /// path is bit-identical in every observable, so reports are unchanged —
-    /// only faster.
+    /// legacy per-`Op` interpreter, which campaigns without decoded tables
+    /// keep running on as the reference.  `decoded` must be
+    /// [`DecodedModule::decode`] of this campaign's module.  The decoded loop
+    /// is bit-identical in every observable, so reports are unchanged — only
+    /// faster.
     pub fn with_decoded(mut self, decoded: &'m DecodedModule) -> Self {
         self.decoded = Some(decoded);
         self

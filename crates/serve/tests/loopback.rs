@@ -243,6 +243,33 @@ fn malformed_frames_get_typed_errors_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn a_deeply_nested_frame_gets_a_typed_refusal_and_the_daemon_keeps_serving() {
+    // A mebibyte of open brackets: well-framed and checksummed, so only the
+    // JSON parser sees the nesting.  Parsing it must not recurse once per
+    // bracket (a stack overflow would abort the whole daemon).
+    let (addr, server) = spawn_server(quick_config());
+    let mut deep = TcpStream::connect(&addr).expect("connect");
+    wire::write_frame(&mut deep, "[".repeat(1 << 20).as_bytes()).expect("write nested frame");
+    let response: Response = wire::recv(&mut deep).expect("typed refusal");
+    match response {
+        Response::Error(e) => {
+            assert_eq!(e.kind, WireErrorKind::Protocol);
+            assert!(e.detail.contains("recursion limit"), "{e}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+
+    // The same daemon still serves a real plan, byte-identical to offline.
+    let mut client = Client::connect(&addr).expect("connect");
+    let plan = small_plan("CG", 8, 5);
+    let job = client.submit(&plan, 2, FailPlan::none()).expect("submit");
+    let served = client.watch(job, |_, _, _, _| {}).expect("watch");
+    assert_eq!(served, offline(&plan));
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+#[test]
 fn frames_at_the_cap_round_trip_and_one_byte_over_gets_a_typed_refusal() {
     // Both sides of the 16 MiB boundary, over a real socket.  At the cap:
     // a syntactically valid Stats request padded with whitespace to exactly

@@ -15,7 +15,7 @@ use crate::memory::{MemError, Memory};
 use crate::output::ProgramOutput;
 use crate::snapshot::{SnapshotImage, VmSnapshot};
 use crate::trace::{EventKind, LocationId, MarkerKind, MarkerRecord, ReadSpan, Trace, TraceEvent};
-use crate::value::Value;
+use crate::value::{flip_mask, Value};
 use crate::visitor::{EventCtx, TraceVisitor, WalkEnd};
 
 /// Reasons a run can abort; all of them map to the paper's *Crashed*
@@ -292,28 +292,133 @@ pub(crate) struct Frame {
 /// Sentinel for "location not interned yet" in the dense id tables.
 const NO_ID: u32 = u32::MAX;
 
-/// Operand resolution for the untraced hot loop: no location interning, no
-/// operand pooling — just the value.  A free function over the split borrows
-/// of [`Interp::run_hot_decoded`], so the loop's held frame reference is the
-/// only frame access per read.
-#[inline]
-fn hot_operand(
-    frame: &Frame,
+/// Resolve a decoded operand to a value plus (when recording) the interned id
+/// of the location read — the decoded counterpart of [`Interp::resolve`]: same
+/// interning, same trap conditions, with constants and globals coming from
+/// the decoded tables.  A free function over the split borrows of
+/// [`Interp::dispatch`], so the loop's held frame reference is the only frame
+/// access per read; with `RECORD` off it reduces to the value lookup.
+#[inline(always)]
+fn read_operand<const RECORD: bool>(
+    frame: &mut Frame,
     df: &DecodedFunction,
     global_bases: &[u64],
+    trace: &mut Trace,
     operand: DOperand,
-) -> Result<Value, TrapKind> {
+    intern: bool,
+) -> Result<(Value, Option<LocationId>), TrapKind> {
     match operand.unpack() {
-        DOperandKind::Value(v) => frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister),
-        DOperandKind::Arg(i) => frame
-            .args
-            .get(i as usize)
-            .copied()
-            .ok_or(TrapKind::UninitializedRegister),
-        DOperandKind::ConstI(i) => Ok(Value::I(df.consts_i[i as usize])),
-        DOperandKind::ConstF(i) => Ok(Value::F(df.consts_f[i as usize])),
-        DOperandKind::Global(g) => Ok(Value::P(global_bases[g as usize])),
+        DOperandKind::Value(v) => {
+            let val = frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister)?;
+            let loc = (RECORD && intern).then(|| intern_reg(trace, frame, v));
+            Ok((val, loc))
+        }
+        DOperandKind::Arg(i) => {
+            let val = *frame
+                .args
+                .get(i as usize)
+                .ok_or(TrapKind::UninitializedRegister)?;
+            let loc = if RECORD {
+                frame.arg_locs.get(i as usize).copied().flatten()
+            } else {
+                None
+            };
+            Ok((val, loc))
+        }
+        DOperandKind::ConstI(i) => Ok((Value::I(df.consts_i[i as usize]), None)),
+        DOperandKind::ConstF(i) => Ok((Value::F(df.consts_f[i as usize]), None)),
+        DOperandKind::Global(g) => Ok((Value::P(global_bases[g as usize]), None)),
     }
+}
+
+/// The per-step state of [`Interp::dispatch`] that changes only at a
+/// boundary step.
+struct Boundary {
+    /// The next step at which this state must be re-evaluated.
+    next: u64,
+    /// Whether steps record (inside the scope window).
+    record: bool,
+    /// The bit mask a result fault flips in this step's result (zero when
+    /// no result fault strikes): XOR-ing it in unconditionally keeps the
+    /// dispatch loop free of a per-result branch.
+    flip: u64,
+}
+
+impl Boundary {
+    /// Evaluate the boundary state at `step` (below the step limit): strike
+    /// a memory fault due now, arm a result fault for this step only, and
+    /// find the next step at which the fault, the step limit or a scope
+    /// window edge changes the state again.
+    #[cold]
+    #[inline(never)]
+    fn at(config: &VmConfig, memory: &mut Memory, step: u64) -> Boundary {
+        let mut next = config.max_steps;
+        let mut flip = 0;
+        if let Some(fault) = config.fault {
+            if fault.at_step == step {
+                match fault.target {
+                    FaultTarget::MemoryCell { addr } => {
+                        if let Some(v) = memory.peek(addr) {
+                            memory.poke(addr, v.flip_bit(fault.bit));
+                        }
+                    }
+                    FaultTarget::InstructionResult => flip = flip_mask(fault.bit),
+                }
+                next = step + 1;
+            } else if fault.at_step > step {
+                next = next.min(fault.at_step);
+            }
+        }
+        if let TraceScope::Window { start, end } = config.trace_scope {
+            for edge in [start, end] {
+                if edge > step {
+                    next = next.min(edge);
+                }
+            }
+        }
+        Boundary {
+            next,
+            record: config.record_trace && config.trace_scope.contains(step),
+            flip,
+        }
+    }
+}
+
+/// Hand the events buffered in `trace` to the visitors, then drop them, so a
+/// streaming run never retains more than one dispatch's events.
+fn deliver(
+    trace: &mut Trace,
+    event_steps: &mut Vec<u64>,
+    visitors: &mut [&mut dyn TraceVisitor],
+    wants_reads: &[bool],
+    emitted: &mut usize,
+) {
+    let Some(first) = trace.events.first() else {
+        return;
+    };
+    debug_assert_eq!(event_steps.len(), trace.events.len());
+    let pool_start = first.reads.offset as usize;
+    for (event, &step) in trace.events.iter().zip(event_steps.iter()) {
+        let ctx = EventCtx {
+            index: *emitted,
+            step,
+            event,
+            reads: &trace.pool[event.reads.range()],
+            locations: &trace.locations,
+        };
+        for (v, &wants) in visitors.iter_mut().zip(wants_reads) {
+            v.on_event(&ctx);
+            if wants {
+                for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
+                    v.on_operand_read(&ctx, nth, id, value);
+                }
+            }
+        }
+        *emitted += 1;
+    }
+    trace.events.clear();
+    event_steps.clear();
+    trace.pool.truncate(pool_start);
 }
 
 /// Intern a register location through the frame's dense per-register table:
@@ -598,16 +703,17 @@ struct Interp<'m> {
     /// event is handed over and immediately discarded, so `trace` never grows
     /// beyond the location table plus a one-event scratch buffer.
     streaming: bool,
-    /// Pre-decoded dispatch tables: when set, the run loop uses
-    /// [`Interp::step_decoded`] (dense flat code, fused superinstructions)
-    /// instead of the legacy per-`Op` match.  Semantics are bit-identical.
+    /// Pre-decoded dispatch tables: when set, the run loop executes in
+    /// [`Interp::dispatch`] (dense flat code, fused superinstructions)
+    /// instead of stepping the legacy per-`Op` match.  Semantics are
+    /// bit-identical.
     decoded: Option<&'m DecodedModule>,
     /// Absolute source lines per function, materialized from the decoded
     /// delta streams — only when a decoded run records a trace.
     dlines: Vec<Vec<u32>>,
     /// Dynamic step of each event currently in `trace.events`, kept only in
-    /// streaming mode: a fused dispatch can emit two events per call, so the
-    /// run loop can no longer derive event steps from the step counter alone.
+    /// streaming mode: a fused dispatch can emit two events at once, so the
+    /// visitors cannot derive event steps from the step counter alone.
     event_steps: Vec<u64>,
     /// Base address per [`GlobalId`], resolved once when decoded tables are
     /// attached.  Globals are laid out at construction and never move, so
@@ -794,7 +900,9 @@ impl<'m> Interp<'m> {
 
     /// The interpreter main loop, shared by cold runs (`emitted_start == 0`)
     /// and snapshot-resumed runs (`emitted_start` = the fork point's streamed
-    /// event cursor, so visitor indices continue absolutely).
+    /// event cursor, so visitor indices continue absolutely).  Runs with
+    /// decoded tables execute in [`Interp::dispatch`]; the others step the
+    /// legacy per-`Op` interpreter.
     fn run_loop(
         mut self,
         mut visitors: Option<&mut [&mut dyn TraceVisitor]>,
@@ -808,81 +916,45 @@ impl<'m> Interp<'m> {
             .map(|vs| vs.iter().map(|v| v.wants_operand_reads()).collect())
             .unwrap_or_default();
 
-        // The hot loop handles the untraced, visitor-free configuration —
-        // the overwhelming majority of campaign executions.  Any step that a
-        // pending fault (or the step limit) could touch is delegated back to
-        // the general dispatch below, one step at a time.
-        let hot = self.decoded.is_some() && visitors.is_none() && !self.config.record_trace;
-
-        let outcome = loop {
-            if self.steps >= self.config.max_steps {
-                break RunOutcome::Trapped(TrapKind::StepLimit);
+        let outcome = match self.decoded {
+            Some(dm) if self.config.record_trace => {
+                self.dispatch::<true>(dm, visitors.as_deref_mut(), &wants_reads, &mut emitted)
             }
-            if hot {
-                let stop = match self.config.fault {
-                    Some(f) if f.at_step >= self.steps => {
-                        f.at_step.min(self.config.max_steps)
-                    }
-                    _ => self.config.max_steps,
-                };
-                if let Some(flow) = self.run_hot_decoded(stop) {
-                    match flow {
-                        StepFlow::Finished => break RunOutcome::Completed,
-                        StepFlow::Trap(t) => break RunOutcome::Trapped(t),
-                        StepFlow::Continue => unreachable!("hot loop yields via None"),
-                    }
-                }
-                // Yielded at a boundary: re-check the limit, then run the
-                // boundary step through the general dispatch.
+            Some(dm) => self.dispatch::<false>(dm, None, &wants_reads, &mut emitted),
+            None => loop {
                 if self.steps >= self.config.max_steps {
                     break RunOutcome::Trapped(TrapKind::StepLimit);
                 }
-            }
-            let flow = if self.decoded.is_some() {
-                self.step_decoded()
-            } else {
-                self.step()
-            };
-            // Dispatch the events this call recorded (a fused decoded
-            // dispatch can emit up to two) before acting on the flow, so a
-            // final `Ret` still reaches the visitors.
-            if let Some(vs) = visitors.as_deref_mut() {
-                let n = self.trace.events.len();
-                if n > 0 {
-                    debug_assert_eq!(self.event_steps.len(), n);
-                    let pool_start = self.trace.events[0].reads.offset as usize;
-                    for k in 0..n {
-                        let event = self.trace.events[k].clone();
-                        let ctx = EventCtx {
-                            index: emitted,
-                            step: self.event_steps[k],
-                            event: &event,
-                            reads: &self.trace.pool[event.reads.range()],
-                            locations: &self.trace.locations,
-                        };
-                        for (v, &wants) in vs.iter_mut().zip(&wants_reads) {
-                            v.on_event(&ctx);
-                            if wants {
-                                for (nth, &(id, value)) in ctx.reads.iter().enumerate() {
-                                    v.on_operand_read(&ctx, nth, id, value);
-                                }
-                            }
-                        }
-                        emitted += 1;
-                    }
-                    self.trace.events.clear();
-                    self.event_steps.clear();
-                    self.trace.pool.truncate(pool_start);
+                let flow = self.step();
+                // Deliver the step's event before acting on the flow, so a
+                // final `Ret` still reaches the visitors.
+                if let Some(vs) = visitors.as_deref_mut() {
+                    deliver(
+                        &mut self.trace,
+                        &mut self.event_steps,
+                        vs,
+                        &wants_reads,
+                        &mut emitted,
+                    );
                 }
-            }
-            match flow {
-                StepFlow::Continue => {}
-                StepFlow::Finished => break RunOutcome::Completed,
-                StepFlow::Trap(t) => break RunOutcome::Trapped(t),
-            }
+                match flow {
+                    StepFlow::Continue => {}
+                    StepFlow::Finished => break RunOutcome::Completed,
+                    StepFlow::Trap(t) => break RunOutcome::Trapped(t),
+                }
+            },
         };
 
         if let Some(vs) = visitors {
+            // The decoded loop returns with its last dispatch's events
+            // still buffered.
+            deliver(
+                &mut self.trace,
+                &mut self.event_steps,
+                vs,
+                &wants_reads,
+                &mut emitted,
+            );
             let end = WalkEnd {
                 events: emitted,
                 locations: &self.trace.locations,
@@ -981,8 +1053,8 @@ impl<'m> Interp<'m> {
     }
 
     /// A memory-cell fault strikes *before* the instruction at `at_step`.
-    /// Called at the top of every dispatch — and again between the two halves
-    /// of a fused superinstruction, which spans two dynamic steps.
+    /// Called at the top of every legacy step (the decoded loop strikes it
+    /// at its fault boundary instead).
     #[inline]
     fn memory_fault_hook(&mut self) {
         if let Some(fault) = self.config.fault {
@@ -1344,768 +1416,428 @@ impl<'m> Interp<'m> {
         flow
     }
 
-    /// Resolve a packed decoded operand; mirrors [`Interp::resolve`] exactly
-    /// (same interning, same trap conditions), with constants and globals
-    /// coming from the decoded tables.
-    fn resolve_d(
-        &mut self,
-        frame_idx: usize,
-        df: &DecodedFunction,
-        operand: DOperand,
-        record: bool,
-    ) -> Result<(Value, Option<LocationId>), TrapKind> {
-        match operand.unpack() {
-            DOperandKind::Value(v) => {
-                let frame = &mut self.frames[frame_idx];
-                let val = frame.regs[v.index()].ok_or(TrapKind::UninitializedRegister)?;
-                let loc = record.then(|| intern_reg(&mut self.trace, frame, v));
-                Ok((val, loc))
-            }
-            DOperandKind::Arg(i) => {
-                let frame = &self.frames[frame_idx];
-                let val = *frame
-                    .args
-                    .get(i as usize)
-                    .ok_or(TrapKind::UninitializedRegister)?;
-                Ok((val, frame.arg_locs.get(i as usize).copied().flatten()))
-            }
-            DOperandKind::ConstI(i) => Ok((Value::I(df.consts_i[i as usize]), None)),
-            DOperandKind::ConstF(i) => Ok((Value::F(df.consts_f[i as usize]), None)),
-            DOperandKind::Global(g) => Ok((Value::P(self.global_bases[g as usize]), None)),
-        }
-    }
-
-    /// Push one recorded event from the decoded path (the decoded analogue of
-    /// the tail of [`Interp::step`]): marker elision, read-span closing, and
-    /// source lines from the materialized delta tables.
-    #[allow(clippy::too_many_arguments)]
-    fn push_event_decoded(
-        &mut self,
-        func: FunctionId,
-        frame: u32,
-        inst: ValueId,
-        lin: usize,
-        kind: EventKind,
-        pool_start: usize,
-        write: Option<(LocationId, Value)>,
-    ) {
-        let elide = self.config.trace_opts.skip_markers && kind.is_marker();
-        if elide {
-            if !self.streaming {
-                let marker = match kind {
-                    EventKind::LoopBegin { id, depth, kind } => {
-                        MarkerKind::Begin { id, depth, kind }
-                    }
-                    EventKind::LoopEnd { id } => MarkerKind::End { id },
-                    EventKind::LoopIter { id } => MarkerKind::Iter { id },
-                    _ => unreachable!("is_marker covers exactly the loop markers"),
-                };
-                self.trace.markers.push(MarkerRecord {
-                    at_event: u32::try_from(self.trace.events.len())
-                        .expect("≤ 2^32 events per trace"),
-                    func,
-                    frame,
-                    kind: marker,
-                });
-            }
-        } else {
-            let line = self.dlines[func.index()][lin];
-            let len = (self.trace.pool.len() - pool_start) as u32;
-            let offset = u32::try_from(pool_start).expect("≤ 2^32 operand reads per trace");
-            self.trace.events.push(TraceEvent {
-                func,
-                frame,
-                inst,
-                line,
-                kind,
-                reads: ReadSpan { offset, len },
-                write,
-            });
-            if self.streaming {
-                self.event_steps.push(self.steps);
-            }
-        }
-    }
-
-    /// The tight dispatch loop of the decoded path for the common campaign
-    /// configuration: no trace recording, no visitors, and no fault pending
-    /// before `stop`.  Executes decoded instructions back-to-back without
-    /// any per-step fault/trace bookkeeping — the per-step overhead that
-    /// dominates an untraced run — and yields (`None`) exactly at `stop`,
-    /// where the caller re-runs the general dispatch for one step (a fault
-    /// boundary) or raises the step limit.  Bit-identical to repeated
-    /// [`Interp::step_decoded`] calls in every observable: steps, traps,
-    /// outputs, memory, and frame program counters.
+    /// The decoded dispatch loop: runs until the program finishes, traps or
+    /// reaches the step limit.  One body serves every decoded run,
+    /// monomorphized on `RECORD` (= `config.record_trace`): the untraced
+    /// instance compiles without any recording code, while the recording
+    /// instance interns locations, pools operand reads and pushes events
+    /// (marker records under `skip_markers`), streaming them to `visitors`
+    /// when set.
     ///
-    /// Returns `Some(flow)` when the program finishes or traps, `None` when
-    /// the step budget `stop` is reached with the program still running.
+    /// The loop holds split borrows of the interpreter's fields and counts
+    /// steps in a local.  Per step it makes one compare, against the next
+    /// *boundary*: the step limit, the fault's step, or an edge of the scope
+    /// window.  A boundary re-evaluates that state — it traps on the limit,
+    /// strikes a memory fault or arms a result fault for exactly one step,
+    /// and switches recording on or off.  A fused [`DInst::CmpBr`] runs both
+    /// of its halves (two dynamic steps) in one dispatch unless a boundary
+    /// falls between them; then only the compare half runs, leaving the
+    /// program counter on the [`FUSED_TAIL`] branch half, which the next
+    /// dispatch runs alone exactly as it does after a mid-pair snapshot
+    /// restore.  Bit-identical to [`Interp::step`] in every observable:
+    /// traces, interning order, faults, traps, outputs and step accounting.
+    ///
+    /// Kept out of line: inlined into [`Interp::run_loop`], the untraced
+    /// instance measured several percent slower per step.
     #[allow(clippy::too_many_lines)]
-    fn run_hot_decoded(&mut self, stop: u64) -> Option<StepFlow> {
-        let dm = self.decoded.expect("hot loop requires decoded tables");
-        debug_assert!(!self.config.record_trace, "hot loop cannot record");
-        // Split the interpreter into disjoint borrows once, so the loop can
-        // hold one frame reference across operand resolution and the result
-        // write instead of re-indexing `self.frames` per access, and count
-        // steps in a register instead of a memory cell.
+    #[inline(never)]
+    fn dispatch<const RECORD: bool>(
+        &mut self,
+        dm: &DecodedModule,
+        mut visitors: Option<&mut [&mut dyn TraceVisitor]>,
+        wants_reads: &[bool],
+        emitted: &mut usize,
+    ) -> RunOutcome {
         let Interp {
             module,
-            frames,
+            config,
             memory,
             outputs,
+            trace,
+            mem_ids,
+            frames,
             steps,
             next_frame_id,
-            config,
+            streaming,
+            dlines,
+            event_steps,
             global_bases,
             ..
         } = self;
         let mut frame_idx = frames.len() - 1;
         let mut df = dm.function(frames[frame_idx].func);
         let mut nsteps = *steps;
+        // Boundary state, first evaluated before the first step.
+        let (mut next, mut record, mut flip) = (nsteps, false, 0);
         loop {
-            if nsteps >= stop {
-                *steps = nsteps;
-                return None;
+            if RECORD {
+                if let Some(vs) = visitors.as_deref_mut() {
+                    deliver(trace, event_steps, vs, wants_reads, emitted);
+                }
             }
+            if nsteps >= next {
+                if nsteps >= config.max_steps {
+                    *steps = nsteps;
+                    return RunOutcome::Trapped(TrapKind::StepLimit);
+                }
+                Boundary { next, record, flip } = Boundary::at(config, memory, nsteps);
+            }
+
             let frame = &mut frames[frame_idx];
-            let lin = df.lin(frame.block, frame.ip);
+            let (func_id, frame_id) = (frame.func, frame.frame_id);
+            let mut lin = df.lin(frame.block, frame.ip);
             let packed = df.flat_map[lin];
             let dinst = df.code[(packed & !FUSED_TAIL) as usize];
-            let iid = ValueId(df.lin_iids[lin]);
+            let mut iid = ValueId(df.lin_iids[lin]);
+            // Most instructions simply advance ip; control flow overrides this.
             frame.ip += 1;
+            let mut pool_start = trace.pool.len();
+            let mut write: Option<(LocationId, Value)> = None;
 
-            macro_rules! hres {
-                ($operand:expr) => {{
-                    match hot_operand(frame, df, global_bases, $operand) {
-                        Ok(v) => v,
-                        Err(t) => {
-                            *steps = nsteps;
-                            return Some(StepFlow::Trap(t));
-                        }
-                    }
-                }};
-            }
             macro_rules! bail {
                 ($trap:expr) => {{
                     *steps = nsteps;
-                    return Some(StepFlow::Trap($trap));
+                    return RunOutcome::Trapped($trap);
+                }};
+            }
+            macro_rules! read {
+                ($operand:expr) => {{
+                    match read_operand::<RECORD>(frame, df, global_bases, trace, $operand, record) {
+                        Ok((v, loc)) => {
+                            if RECORD && record {
+                                if let Some(l) = loc {
+                                    trace.pool.push((l, v));
+                                }
+                            }
+                            v
+                        }
+                        Err(t) => bail!(t),
+                    }
+                }};
+            }
+            macro_rules! faulted {
+                ($value:expr) => {{
+                    let v: Value = $value;
+                    v.with_bits(v.bits() ^ flip)
+                }};
+            }
+            // Write the current instruction's result register.
+            macro_rules! set {
+                ($value:expr) => {{
+                    let v = $value;
+                    frame.regs[iid.index()] = Some(v);
+                    if RECORD && record {
+                        write = Some((intern_reg(trace, frame, iid), v));
+                    }
+                    v
+                }};
+            }
+            macro_rules! emit {
+                ($kind:expr) => {
+                    if RECORD && record {
+                        let kind = $kind;
+                        // Marker elision: loop markers carry no dataflow, so
+                        // under `skip_markers` they go to the compact
+                        // out-of-band table instead of the event stream.  A
+                        // streaming run retains no trace for a marker record
+                        // to annotate, so it drops the marker.
+                        if config.trace_opts.skip_markers && kind.is_marker() {
+                            if !*streaming {
+                                let marker = match kind {
+                                    EventKind::LoopBegin { id, depth, kind } => {
+                                        MarkerKind::Begin { id, depth, kind }
+                                    }
+                                    EventKind::LoopEnd { id } => MarkerKind::End { id },
+                                    EventKind::LoopIter { id } => MarkerKind::Iter { id },
+                                    _ => unreachable!("is_marker covers exactly the loop markers"),
+                                };
+                                trace.markers.push(MarkerRecord {
+                                    at_event: u32::try_from(trace.events.len())
+                                        .expect("≤ 2^32 events per trace"),
+                                    func: func_id,
+                                    frame: frame_id,
+                                    kind: marker,
+                                });
+                            }
+                        } else {
+                            let len = (trace.pool.len() - pool_start) as u32;
+                            let offset = u32::try_from(pool_start)
+                                .expect("≤ 2^32 operand reads per trace");
+                            trace.events.push(TraceEvent {
+                                func: func_id,
+                                frame: frame_id,
+                                inst: iid,
+                                line: dlines[func_id.index()][lin],
+                                kind,
+                                reads: ReadSpan { offset, len },
+                                write,
+                            });
+                            if *streaming {
+                                event_steps.push(nsteps);
+                            }
+                        }
+                    }
+                };
+            }
+            // The branch half of a fused pair, on its condition: the register
+            // the compare half wrote.
+            macro_rules! branch_half {
+                ($cond:expr) => {{
+                    let DInst::CmpBr { then_b, else_b, .. } = dinst else {
+                        unreachable!("FUSED_TAIL only marks CmpBr branch halves");
+                    };
+                    let taken = $cond.is_truthy();
+                    frame.block = BlockId(if taken { then_b } else { else_b });
+                    frame.ip = 0;
+                    EventKind::CondBr { taken }
                 }};
             }
 
-            // A snapshot captured between the halves of a fused pair
-            // restores with the program counter on the branch half: execute
-            // it alone (exactly like the general dispatch).
-            if packed & FUSED_TAIL != 0 {
-                let DInst::CmpBr { then_b, else_b, .. } = dinst else {
-                    unreachable!("FUSED_TAIL only marks CmpBr branch halves");
-                };
-                let cond_reg = ValueId(df.lin_iids[lin - 1]);
-                let c = hres!(DOperand::reg(cond_reg));
-                let taken = c.is_truthy();
-                frame.block = BlockId(if taken { then_b } else { else_b });
-                frame.ip = 0;
-                nsteps += 1;
-                continue;
-            }
-
-            match dinst {
-                DInst::Bin { kind, lhs, rhs } => {
-                    let a = hres!(lhs);
-                    let b = hres!(rhs);
-                    let result = match eval_bin(kind, a, b) {
-                        Ok(v) => v,
-                        Err(t) => bail!(t),
-                    };
-                    frame.regs[iid.index()] = Some(result);
-                }
-                DInst::Cmp {
-                    kind, float, lhs, rhs,
-                } => {
-                    let a = hres!(lhs);
-                    let b = hres!(rhs);
-                    let result = match eval_cmp(kind, float, a, b) {
-                        Ok(v) => v,
-                        Err(t) => bail!(t),
-                    };
-                    frame.regs[iid.index()] = Some(Value::I(result as i64));
-                }
-                DInst::CmpBr {
-                    kind,
-                    float,
-                    lhs,
-                    rhs,
-                    then_b,
-                    else_b,
-                } => {
-                    // The fused pair spans two dynamic steps and must not
-                    // straddle `stop` (a fault or the step limit could land
-                    // between the halves): yield and let the general
-                    // dispatch handle the boundary.
-                    if nsteps + 2 > stop {
-                        frame.ip -= 1;
-                        *steps = nsteps;
-                        return None;
+            let kind = if packed & FUSED_TAIL != 0 {
+                branch_half!(read!(DOperand::reg(ValueId(df.lin_iids[lin - 1]))))
+            } else {
+                match dinst {
+                    DInst::Bin { kind, lhs, rhs } => {
+                        let a = read!(lhs);
+                        let b = read!(rhs);
+                        match eval_bin(kind, a, b) {
+                            Ok(v) => set!(faulted!(v)),
+                            Err(t) => bail!(t),
+                        };
+                        EventKind::Bin(kind)
                     }
-                    let a = hres!(lhs);
-                    let b = hres!(rhs);
-                    let result = match eval_cmp(kind, float, a, b) {
-                        Ok(v) => v,
-                        Err(t) => bail!(t),
-                    };
-                    frame.regs[iid.index()] = Some(Value::I(result as i64));
-                    frame.block = BlockId(if result { then_b } else { else_b });
-                    frame.ip = 0;
-                    nsteps += 2;
-                    continue;
-                }
-                DInst::Cast { kind, src } => {
-                    let v = hres!(src);
-                    let result = match eval_cast(kind, v) {
-                        Ok(v) => v,
-                        Err(t) => bail!(t),
-                    };
-                    frame.regs[iid.index()] = Some(result);
-                }
-                DInst::Select {
-                    cond,
-                    then_v,
-                    else_v,
-                } => {
-                    let c = hres!(cond);
-                    let a = hres!(then_v);
-                    let b = hres!(else_v);
-                    let result = if c.is_truthy() { a } else { b };
-                    frame.regs[iid.index()] = Some(result);
-                }
-                DInst::Load { addr } => {
-                    let a = hres!(addr);
-                    let Some(addr) = a.as_ptr() else {
-                        bail!(TrapKind::TypeMismatch);
-                    };
-                    let loaded = match memory.load(addr) {
-                        Ok(v) => v,
-                        Err(MemError::OutOfBounds { .. }) => bail!(TrapKind::OutOfBounds),
-                    };
-                    frame.regs[iid.index()] = Some(loaded);
-                }
-                DInst::Store { addr, value } => {
-                    let a = hres!(addr);
-                    let v = hres!(value);
-                    let Some(addr) = a.as_ptr() else {
-                        bail!(TrapKind::TypeMismatch);
-                    };
-                    if let Err(MemError::OutOfBounds { .. }) = memory.store(addr, v) {
-                        bail!(TrapKind::OutOfBounds);
+                    DInst::Cmp {
+                        kind,
+                        float,
+                        lhs,
+                        rhs,
                     }
-                }
-                DInst::Alloca { size } => {
-                    let Some(base) = memory.alloca(u64::from(size)) else {
-                        bail!(TrapKind::OutOfMemory);
-                    };
-                    frame.regs[iid.index()] = Some(Value::P(base));
-                }
-                DInst::Gep { base, index } => {
-                    let b = hres!(base);
-                    let i = hres!(index);
-                    let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
-                        bail!(TrapKind::TypeMismatch);
-                    };
-                    let addr = (base as i64).wrapping_add(idx) as u64;
-                    frame.regs[iid.index()] = Some(Value::P(addr));
-                }
-                DInst::Call { callee, args } => {
-                    // The top frame is always `frame_idx`, so the depth
-                    // check stays ahead of operand resolution (the trap
-                    // order the legacy dispatch exhibits) without touching
-                    // `frames` while `frame` is borrowed.
-                    if (frame_idx + 1) as u32 >= config.max_call_depth {
-                        bail!(TrapKind::CallDepth);
-                    }
-                    let n = args.len as usize;
-                    let mut arg_vals = Vec::with_capacity(n);
-                    for k in args.range() {
-                        arg_vals.push(hres!(df.args_pool[k]));
-                    }
-                    // Inlined `make_frame` for the untraced configuration
-                    // (`reg_ids` is only allocated when recording).
-                    let f = module.function(callee);
-                    let frame_id = *next_frame_id;
-                    *next_frame_id += 1;
-                    frames.push(Frame {
-                        func: callee,
-                        frame_id,
-                        block: f.entry(),
-                        ip: 0,
-                        regs: vec![None; f.num_insts()],
-                        reg_ids: Vec::new(),
-                        args: arg_vals,
-                        arg_locs: vec![None; n],
-                        stack_mark: memory.stack_mark(),
-                        ret_dest: Some((frame_idx, iid)),
-                    });
-                    frame_idx += 1;
-                    df = dm.function(callee);
-                }
-                DInst::CallIntrinsic { intrinsic, args } => {
-                    let mut vals = Vec::with_capacity(args.len as usize);
-                    for k in args.range() {
-                        vals.push(hres!(df.args_pool[k]));
-                    }
-                    let result = match eval_intrinsic(intrinsic, &vals) {
-                        Ok(v) => v,
-                        Err(t) => bail!(t),
-                    };
-                    frame.regs[iid.index()] = Some(result);
-                }
-                DInst::Ret { value } => {
-                    let ret_val = match value {
-                        Some(v) => Some(hres!(v)),
-                        None => None,
-                    };
-                    let frame = frames.pop().expect("at least one frame");
-                    memory.release_to(frame.stack_mark);
-                    match frame.ret_dest {
-                        Some((caller_idx, dest)) => {
-                            frames[caller_idx].regs[dest.index()] =
-                                Some(ret_val.unwrap_or(Value::I(0)));
-                            frame_idx -= 1;
-                            df = dm.function(frames[frame_idx].func);
-                        }
-                        None => {
-                            *steps = nsteps + 1;
-                            return Some(StepFlow::Finished);
-                        }
-                    }
-                }
-                DInst::Br { target } => {
-                    frame.block = BlockId(target);
-                    frame.ip = 0;
-                }
-                DInst::CondBr {
-                    cond,
-                    then_b,
-                    else_b,
-                } => {
-                    let c = hres!(cond);
-                    let taken = c.is_truthy();
-                    frame.block = BlockId(if taken { then_b } else { else_b });
-                    frame.ip = 0;
-                }
-                DInst::Output { value, format } => {
-                    let v = hres!(value);
-                    outputs.emit(v, format);
-                }
-                DInst::LoopBegin { .. }
-                | DInst::LoopEnd { .. }
-                | DInst::LoopIter { .. }
-                | DInst::Nop => {}
-            }
-            nsteps += 1;
-        }
-    }
-
-    /// One decoded dispatch: executes the [`DInst`] at the current frame's
-    /// program counter — or, for a fused [`DInst::CmpBr`], both of its
-    /// original instructions (two dynamic steps) in one call.  Bit-identical
-    /// to [`Interp::step`] in every observable: traces, interning order,
-    /// faults, traps, outputs and step accounting.
-    #[allow(clippy::too_many_lines)]
-    fn step_decoded(&mut self) -> StepFlow {
-        let dm = self.decoded.expect("decoded dispatch requires tables");
-        self.memory_fault_hook();
-
-        let frame_idx = self.frames.len() - 1;
-        let (func_id, frame_id, lin) = {
-            let frame = &self.frames[frame_idx];
-            let df = dm.function(frame.func);
-            (frame.func, frame.frame_id, df.lin(frame.block, frame.ip))
-        };
-        let df = dm.function(func_id);
-        let packed = df.flat_map[lin];
-        let dinst = df.code[(packed & !FUSED_TAIL) as usize];
-        let iid = ValueId(df.lin_iids[lin]);
-
-        let record = self.config.record_trace && self.config.trace_scope.contains(self.steps);
-        let pool_start = self.trace.pool.len();
-        let mut write: Option<(LocationId, Value)> = None;
-
-        // Most instructions simply advance ip; control flow overrides this.
-        self.frames[frame_idx].ip += 1;
-
-        macro_rules! resolve {
-            ($operand:expr) => {{
-                match self.resolve_d(frame_idx, df, $operand, record) {
-                    Ok((v, loc)) => {
-                        if record {
-                            if let Some(l) = loc {
-                                self.trace.pool.push((l, v));
-                            }
-                        }
-                        v
-                    }
-                    Err(t) => return StepFlow::Trap(t),
-                }
-            }};
-        }
-
-        macro_rules! record_result {
-            ($value:expr) => {
-                if record {
-                    let id = intern_reg(&mut self.trace, &mut self.frames[frame_idx], iid);
-                    write = Some((id, $value));
-                }
-            };
-        }
-
-        let faulty_result = match self.config.fault {
-            Some(FaultSpec {
-                at_step,
-                bit,
-                target: FaultTarget::InstructionResult,
-            }) if at_step == self.steps => Some(bit),
-            _ => None,
-        };
-        let apply_fault = |v: Value| -> Value {
-            match faulty_result {
-                Some(bit) => v.flip_bit(bit),
-                None => v,
-            }
-        };
-
-        // A snapshot captured between the halves of a fused pair restores
-        // with the program counter on the branch half: execute it alone.
-        if packed & FUSED_TAIL != 0 {
-            let DInst::CmpBr { then_b, else_b, .. } = dinst else {
-                unreachable!("FUSED_TAIL only marks CmpBr branch halves");
-            };
-            let cond_reg = ValueId(df.lin_iids[lin - 1]);
-            let c = resolve!(DOperand::reg(cond_reg));
-            let taken = c.is_truthy();
-            let frame = &mut self.frames[frame_idx];
-            frame.block = BlockId(if taken { then_b } else { else_b });
-            frame.ip = 0;
-            if record {
-                self.push_event_decoded(
-                    func_id,
-                    frame_id,
-                    iid,
-                    lin,
-                    EventKind::CondBr { taken },
-                    pool_start,
-                    None,
-                );
-            }
-            self.steps += 1;
-            return StepFlow::Continue;
-        }
-
-        let mut kind = EventKind::Nop;
-        let mut flow = StepFlow::Continue;
-
-        match dinst {
-            DInst::Bin { kind: bk, lhs, rhs } => {
-                let a = resolve!(lhs);
-                let b = resolve!(rhs);
-                let result = match eval_bin(bk, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Bin(bk);
-                record_result!(result);
-            }
-            DInst::Cmp {
-                kind: ck,
-                float,
-                lhs,
-                rhs,
-            } => {
-                let a = resolve!(lhs);
-                let b = resolve!(rhs);
-                let result = match eval_cmp(ck, float, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(Value::I(result as i64));
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Cmp {
-                    kind: ck,
-                    float,
-                    result: result.is_truthy(),
-                };
-                record_result!(result);
-            }
-            DInst::CmpBr {
-                kind: ck,
-                float,
-                lhs,
-                rhs,
-                then_b,
-                else_b,
-            } => {
-                // --- compare half (this step) ---
-                let a = resolve!(lhs);
-                let b = resolve!(rhs);
-                let result = match eval_cmp(ck, float, a, b) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(Value::I(result as i64));
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                record_result!(result);
-                if record {
-                    self.push_event_decoded(
-                        func_id,
-                        frame_id,
-                        iid,
-                        lin,
-                        EventKind::Cmp {
-                            kind: ck,
+                    | DInst::CmpBr {
+                        kind,
+                        float,
+                        lhs,
+                        rhs,
+                        ..
+                    } => {
+                        let a = read!(lhs);
+                        let b = read!(rhs);
+                        let result = match eval_cmp(kind, float, a, b) {
+                            Ok(r) => set!(faulted!(Value::I(r as i64))),
+                            Err(t) => bail!(t),
+                        };
+                        let cmp = EventKind::Cmp {
+                            kind,
                             float,
                             result: result.is_truthy(),
-                        },
-                        pool_start,
-                        write,
-                    );
-                }
-                self.steps += 1;
-                if self.steps >= self.config.max_steps {
-                    // The run loop raises StepLimit before the branch half
-                    // executes — exactly where a legacy run would stop (the
-                    // frame's program counter is on the branch).
-                    return StepFlow::Continue;
-                }
-
-                // --- branch half (next step) ---
-                self.memory_fault_hook();
-                let record2 =
-                    self.config.record_trace && self.config.trace_scope.contains(self.steps);
-                let pool_start2 = self.trace.pool.len();
-                let br_iid = ValueId(df.lin_iids[lin + 1]);
-                let (c, loc) = match self.resolve_d(frame_idx, df, DOperand::reg(iid), record2) {
-                    Ok(x) => x,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                if record2 {
-                    if let Some(l) = loc {
-                        self.trace.pool.push((l, c));
-                    }
-                }
-                let taken = c.is_truthy();
-                let frame = &mut self.frames[frame_idx];
-                frame.block = BlockId(if taken { then_b } else { else_b });
-                frame.ip = 0;
-                if record2 {
-                    self.push_event_decoded(
-                        func_id,
-                        frame_id,
-                        br_iid,
-                        lin + 1,
-                        EventKind::CondBr { taken },
-                        pool_start2,
-                        None,
-                    );
-                }
-                self.steps += 1;
-                return StepFlow::Continue;
-            }
-            DInst::Cast { kind: ck, src } => {
-                let v = resolve!(src);
-                let result = match eval_cast(ck, v) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Cast(ck);
-                record_result!(result);
-            }
-            DInst::Select {
-                cond,
-                then_v,
-                else_v,
-            } => {
-                let c = resolve!(cond);
-                let a = resolve!(then_v);
-                let b = resolve!(else_v);
-                let result = apply_fault(if c.is_truthy() { a } else { b });
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Select;
-                record_result!(result);
-            }
-            DInst::Load { addr } => {
-                let a = resolve!(addr);
-                let Some(addr) = a.as_ptr() else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let loaded = match self.memory.load(addr) {
-                    Ok(v) => v,
-                    Err(MemError::OutOfBounds { .. }) => {
-                        return StepFlow::Trap(TrapKind::OutOfBounds)
-                    }
-                };
-                if record {
-                    let id = intern_mem(&mut self.trace, &mut self.mem_ids, addr);
-                    self.trace.pool.push((id, loaded));
-                }
-                let result = apply_fault(loaded);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Load;
-                record_result!(result);
-            }
-            DInst::Store { addr, value } => {
-                let a = resolve!(addr);
-                let v = resolve!(value);
-                let Some(addr) = a.as_ptr() else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let stored = apply_fault(v);
-                if let Err(MemError::OutOfBounds { .. }) = self.memory.store(addr, stored) {
-                    return StepFlow::Trap(TrapKind::OutOfBounds);
-                }
-                kind = EventKind::Store;
-                if record {
-                    let id = intern_mem(&mut self.trace, &mut self.mem_ids, addr);
-                    write = Some((id, stored));
-                }
-            }
-            DInst::Alloca { size } => {
-                let Some(base) = self.memory.alloca(u64::from(size)) else {
-                    return StepFlow::Trap(TrapKind::OutOfMemory);
-                };
-                let result = Value::P(base);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Alloca {
-                    base,
-                    size: u64::from(size),
-                };
-                record_result!(result);
-            }
-            DInst::Gep { base, index } => {
-                let b = resolve!(base);
-                let i = resolve!(index);
-                let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
-                    return StepFlow::Trap(TrapKind::TypeMismatch);
-                };
-                let addr = (base as i64).wrapping_add(idx) as u64;
-                let result = apply_fault(Value::P(addr));
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Gep;
-                record_result!(result);
-            }
-            DInst::Call { callee, args } => {
-                if self.frames.len() as u32 >= self.config.max_call_depth {
-                    return StepFlow::Trap(TrapKind::CallDepth);
-                }
-                let n = args.len as usize;
-                let mut arg_vals = Vec::with_capacity(n);
-                let mut arg_locs = Vec::with_capacity(n);
-                for k in args.range() {
-                    let a = df.args_pool[k];
-                    // Intern argument locations whenever tracing is on (not
-                    // just inside the scope window) so frames entered before
-                    // a window still resolve their argument reads inside it.
-                    let (v, loc) = match self.resolve_d(frame_idx, df, a, self.config.record_trace)
-                    {
-                        Ok(x) => x,
-                        Err(t) => return StepFlow::Trap(t),
-                    };
-                    if record {
-                        if let Some(l) = loc {
-                            self.trace.pool.push((l, v));
+                        };
+                        if let DInst::Cmp { .. } = dinst {
+                            cmp
+                        } else {
+                            // Fused pair: the compare half is a step of its
+                            // own; the branch half follows in this dispatch
+                            // unless a boundary falls between the two.
+                            emit!(cmp);
+                            nsteps += 1;
+                            if nsteps >= next {
+                                continue;
+                            }
+                            let cond = DOperand::reg(iid);
+                            lin += 1;
+                            iid = ValueId(df.lin_iids[lin]);
+                            pool_start = trace.pool.len();
+                            write = None;
+                            // Untraced, the condition is the compare result
+                            // just written; recording reads the register.
+                            branch_half!(if RECORD { read!(cond) } else { result })
                         }
                     }
-                    arg_vals.push(v);
-                    arg_locs.push(loc);
-                }
-                kind = EventKind::Call { callee };
-                let new_frame = self.make_frame(callee, arg_vals, arg_locs, Some((frame_idx, iid)));
-                self.frames.push(new_frame);
-            }
-            DInst::CallIntrinsic { intrinsic, args } => {
-                let mut vals = Vec::with_capacity(args.len as usize);
-                for k in args.range() {
-                    let a = df.args_pool[k];
-                    vals.push(resolve!(a));
-                }
-                let result = match eval_intrinsic(intrinsic, &vals) {
-                    Ok(v) => v,
-                    Err(t) => return StepFlow::Trap(t),
-                };
-                let result = apply_fault(result);
-                self.frames[frame_idx].regs[iid.index()] = Some(result);
-                kind = EventKind::Intrinsic;
-                record_result!(result);
-            }
-            DInst::Ret { value } => {
-                let ret_val = match value {
-                    Some(v) => Some(resolve!(v)),
-                    None => None,
-                };
-                kind = EventKind::Ret;
-                let frame = self.frames.pop().expect("at least one frame");
-                self.memory.release_to(frame.stack_mark);
-                match frame.ret_dest {
-                    Some((caller_idx, dest)) => {
-                        let ret_val = apply_fault(ret_val.unwrap_or(Value::I(0)));
-                        let caller = &mut self.frames[caller_idx];
-                        caller.regs[dest.index()] = Some(ret_val);
-                        if record {
-                            let id = intern_reg(&mut self.trace, caller, dest);
-                            write = Some((id, ret_val));
+                    DInst::Cast { kind, src } => {
+                        let v = read!(src);
+                        match eval_cast(kind, v) {
+                            Ok(v) => set!(faulted!(v)),
+                            Err(t) => bail!(t),
+                        };
+                        EventKind::Cast(kind)
+                    }
+                    DInst::Select {
+                        cond,
+                        then_v,
+                        else_v,
+                    } => {
+                        let c = read!(cond);
+                        let a = read!(then_v);
+                        let b = read!(else_v);
+                        set!(faulted!(if c.is_truthy() { a } else { b }));
+                        EventKind::Select
+                    }
+                    DInst::Load { addr } => {
+                        let Some(addr) = read!(addr).as_ptr() else {
+                            bail!(TrapKind::TypeMismatch);
+                        };
+                        let loaded = match memory.load(addr) {
+                            Ok(v) => v,
+                            Err(MemError::OutOfBounds { .. }) => bail!(TrapKind::OutOfBounds),
+                        };
+                        if RECORD && record {
+                            let id = intern_mem(trace, mem_ids, addr);
+                            trace.pool.push((id, loaded));
+                        }
+                        set!(faulted!(loaded));
+                        EventKind::Load
+                    }
+                    DInst::Store { addr, value } => {
+                        let a = read!(addr);
+                        let v = read!(value);
+                        let Some(addr) = a.as_ptr() else {
+                            bail!(TrapKind::TypeMismatch);
+                        };
+                        let stored = faulted!(v);
+                        if let Err(MemError::OutOfBounds { .. }) = memory.store(addr, stored) {
+                            bail!(TrapKind::OutOfBounds);
+                        }
+                        if RECORD && record {
+                            write = Some((intern_mem(trace, mem_ids, addr), stored));
+                        }
+                        EventKind::Store
+                    }
+                    DInst::Alloca { size } => {
+                        let Some(base) = memory.alloca(u64::from(size)) else {
+                            bail!(TrapKind::OutOfMemory);
+                        };
+                        set!(Value::P(base));
+                        EventKind::Alloca {
+                            base,
+                            size: u64::from(size),
                         }
                     }
-                    None => {
-                        flow = StepFlow::Finished;
+                    DInst::Gep { base, index } => {
+                        let b = read!(base);
+                        let i = read!(index);
+                        let (Some(base), Some(idx)) = (b.as_ptr(), i.as_i64()) else {
+                            bail!(TrapKind::TypeMismatch);
+                        };
+                        set!(faulted!(Value::P((base as i64).wrapping_add(idx) as u64)));
+                        EventKind::Gep
                     }
+                    DInst::Call { callee, args } => {
+                        // The top frame is always `frame_idx`, so the depth
+                        // check stays ahead of operand resolution (the legacy
+                        // trap order) without touching `frames`.
+                        if (frame_idx + 1) as u32 >= config.max_call_depth {
+                            bail!(TrapKind::CallDepth);
+                        }
+                        let n = args.len as usize;
+                        let mut arg_vals = Vec::with_capacity(n);
+                        let mut arg_locs = Vec::with_capacity(n);
+                        for k in args.range() {
+                            // Intern argument locations whenever tracing is on
+                            // (not just inside the scope window) so frames
+                            // entered before a window still resolve their
+                            // argument reads inside it.
+                            let (v, loc) = match read_operand::<RECORD>(
+                                frame,
+                                df,
+                                global_bases,
+                                trace,
+                                df.args_pool[k],
+                                true,
+                            ) {
+                                Ok(x) => x,
+                                Err(t) => bail!(t),
+                            };
+                            if RECORD && record {
+                                if let Some(l) = loc {
+                                    trace.pool.push((l, v));
+                                }
+                            }
+                            arg_vals.push(v);
+                            arg_locs.push(loc);
+                        }
+                        let f = module.function(callee);
+                        frames.push(Frame {
+                            func: callee,
+                            frame_id: *next_frame_id,
+                            block: f.entry(),
+                            ip: 0,
+                            regs: vec![None; f.num_insts()],
+                            reg_ids: if RECORD {
+                                vec![NO_ID; f.num_insts()]
+                            } else {
+                                Vec::new()
+                            },
+                            args: arg_vals,
+                            arg_locs,
+                            stack_mark: memory.stack_mark(),
+                            ret_dest: Some((frame_idx, iid)),
+                        });
+                        *next_frame_id += 1;
+                        frame_idx += 1;
+                        df = dm.function(callee);
+                        EventKind::Call { callee }
+                    }
+                    DInst::CallIntrinsic { intrinsic, args } => {
+                        let mut vals = Vec::with_capacity(args.len as usize);
+                        for k in args.range() {
+                            vals.push(read!(df.args_pool[k]));
+                        }
+                        match eval_intrinsic(intrinsic, &vals) {
+                            Ok(v) => set!(faulted!(v)),
+                            Err(t) => bail!(t),
+                        };
+                        EventKind::Intrinsic
+                    }
+                    DInst::Ret { value } => {
+                        let ret_val = match value {
+                            Some(v) => Some(read!(v)),
+                            None => None,
+                        };
+                        let done = frames.pop().expect("at least one frame");
+                        memory.release_to(done.stack_mark);
+                        let Some((caller_idx, dest)) = done.ret_dest else {
+                            emit!(EventKind::Ret);
+                            *steps = nsteps + 1;
+                            return RunOutcome::Completed;
+                        };
+                        let v = faulted!(ret_val.unwrap_or(Value::I(0)));
+                        let caller = &mut frames[caller_idx];
+                        caller.regs[dest.index()] = Some(v);
+                        if RECORD && record {
+                            write = Some((intern_reg(trace, caller, dest), v));
+                        }
+                        frame_idx -= 1;
+                        df = dm.function(frames[frame_idx].func);
+                        EventKind::Ret
+                    }
+                    DInst::Br { target } => {
+                        frame.block = BlockId(target);
+                        frame.ip = 0;
+                        EventKind::Br
+                    }
+                    DInst::CondBr {
+                        cond,
+                        then_b,
+                        else_b,
+                    } => {
+                        let taken = read!(cond).is_truthy();
+                        frame.block = BlockId(if taken { then_b } else { else_b });
+                        frame.ip = 0;
+                        EventKind::CondBr { taken }
+                    }
+                    DInst::Output { value, format } => {
+                        outputs.emit(read!(value), format);
+                        EventKind::Output { format }
+                    }
+                    DInst::LoopBegin { id, depth, kind } => {
+                        EventKind::LoopBegin { id, depth, kind }
+                    }
+                    DInst::LoopEnd { id } => EventKind::LoopEnd { id },
+                    DInst::LoopIter { id } => EventKind::LoopIter { id },
+                    DInst::Nop => EventKind::Nop,
                 }
-            }
-            DInst::Br { target } => {
-                let frame = &mut self.frames[frame_idx];
-                frame.block = BlockId(target);
-                frame.ip = 0;
-                kind = EventKind::Br;
-            }
-            DInst::CondBr {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                let c = resolve!(cond);
-                let taken = c.is_truthy();
-                let frame = &mut self.frames[frame_idx];
-                frame.block = BlockId(if taken { then_b } else { else_b });
-                frame.ip = 0;
-                kind = EventKind::CondBr { taken };
-            }
-            DInst::Output { value, format } => {
-                let v = resolve!(value);
-                self.outputs.emit(v, format);
-                kind = EventKind::Output { format };
-            }
-            DInst::LoopBegin {
-                id, depth, kind: lk,
-            } => {
-                kind = EventKind::LoopBegin {
-                    id,
-                    depth,
-                    kind: lk,
-                };
-            }
-            DInst::LoopEnd { id } => {
-                kind = EventKind::LoopEnd { id };
-            }
-            DInst::LoopIter { id } => {
-                kind = EventKind::LoopIter { id };
-            }
-            DInst::Nop => {}
+            };
+            emit!(kind);
+            nsteps += 1;
         }
-
-        if record {
-            self.push_event_decoded(func_id, frame_id, iid, lin, kind, pool_start, write);
-        }
-        self.steps += 1;
-        flow
     }
 }
 
@@ -2845,22 +2577,44 @@ mod tests {
                 assert_eq!(dec, legacy, "config {config:?}");
             }
         }
+        // Every scope window, so a window edge lands on both halves of every
+        // fused compare-branch pair (and on the steps around them).
+        let module = sum_module();
+        let dm = decoded(&module);
+        let total = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
+        for start in 0..=total {
+            for end in start..=total + 1 {
+                let vm = Vm::new(VmConfig::tracing_region(start, end));
+                let legacy = vm.run(&module).unwrap();
+                let dec = vm.run_decoded(&module, &dm).unwrap();
+                assert_eq!(dec, legacy, "window [{start}, {end})");
+            }
+        }
     }
 
     #[test]
     fn decoded_run_matches_legacy_under_faults() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let clean_steps = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
-        for step in 0..clean_steps {
-            for fault in [
-                FaultSpec::in_result(step, 7),
-                FaultSpec::in_memory(step, 0, 3),
-            ] {
-                let vm = Vm::new(VmConfig::tracing_with_fault(fault));
-                let legacy = vm.run(&module).unwrap();
-                let dec = vm.run_decoded(&module, &dm).unwrap();
-                assert_eq!(dec, legacy, "fault {fault:?}");
+        for module in [sum_module(), call_module()] {
+            let dm = decoded(&module);
+            let clean_steps = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
+            for step in 0..clean_steps {
+                // Cell 0 is `sum`'s global (overwritten before it is read)
+                // and `square`'s temporary; cell 1 is `sum`'s accumulator.
+                for fault in [
+                    FaultSpec::in_result(step, 7),
+                    FaultSpec::in_memory(step, 0, 3),
+                    FaultSpec::in_memory(step, 1, 3),
+                ] {
+                    for config in [
+                        VmConfig::with_fault(fault),
+                        VmConfig::tracing_with_fault(fault),
+                    ] {
+                        let vm = Vm::new(config);
+                        let legacy = vm.run(&module).unwrap();
+                        let dec = vm.run_decoded(&module, &dm).unwrap();
+                        assert_eq!(dec, legacy, "config {config:?}");
+                    }
+                }
             }
         }
     }
@@ -2869,18 +2623,53 @@ mod tests {
     fn decoded_streaming_matches_legacy_streaming() {
         let module = sum_module();
         let dm = decoded(&module);
-        let config = VmConfig::default().without_markers();
-        let vm = Vm::new(config);
-        let mut a = Rebuild::default();
-        let ra = vm.run_with_visitors(&module, &mut [&mut a]).unwrap();
-        let mut b = Rebuild::default();
-        let rb = vm
-            .run_with_visitors_decoded(&module, &dm, &mut [&mut b])
-            .unwrap();
-        assert_eq!(ra, rb);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.outcome, b.outcome);
+        let total = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
+        let streams_match = |config: VmConfig| {
+            let vm = Vm::new(config);
+            let mut a = Rebuild::default();
+            let ra = vm.run_with_visitors(&module, &mut [&mut a]).unwrap();
+            let mut b = Rebuild::default();
+            let rb = vm
+                .run_with_visitors_decoded(&module, &dm, &mut [&mut b])
+                .unwrap();
+            assert_eq!(ra, rb, "config {config:?}");
+            assert_eq!(a.events, b.events, "config {config:?}");
+            assert_eq!(a.steps, b.steps, "config {config:?}");
+            assert_eq!(a.outcome, b.outcome, "config {config:?}");
+        };
+        streams_match(VmConfig::default());
+        streams_match(VmConfig::default().without_markers());
+        // A fault at every step, on both halves of every fused pair.
+        for step in 0..total {
+            for fault in [
+                FaultSpec::in_result(step, 7),
+                FaultSpec::in_memory(step, 1, 3),
+            ] {
+                streams_match(VmConfig::with_fault(fault));
+                streams_match(VmConfig::with_fault(fault).without_markers());
+            }
+        }
+        // Resumed streams from every fork point, including the ones between
+        // the halves of a fused pair.
+        let plain = Vm::new(VmConfig::default());
+        for fork in 0..total {
+            let snap = plain.snapshot_at(&module, fork).unwrap().expect("mid-run");
+            for config in [VmConfig::default(), VmConfig::default().without_markers()] {
+                let vm = Vm::new(config);
+                let mut a = Rebuild::default();
+                let ra = vm
+                    .resume_with_visitors(&module, &snap, &mut [&mut a])
+                    .unwrap();
+                let mut b = Rebuild::default();
+                let rb = vm
+                    .resume_with_visitors_decoded(&module, &dm, &snap, &mut [&mut b])
+                    .unwrap();
+                assert_eq!(ra, rb, "fork {fork}");
+                assert_eq!(a.events, b.events, "fork {fork}");
+                assert_eq!(a.steps, b.steps, "fork {fork}");
+                assert_eq!(a.outcome, b.outcome, "fork {fork}");
+            }
+        }
     }
 
     #[test]
@@ -2922,19 +2711,22 @@ mod tests {
 
     #[test]
     fn decoded_step_limit_stops_identically() {
-        let module = sum_module();
-        let dm = decoded(&module);
-        let total = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
-        for limit in 0..=total {
-            let config = VmConfig {
-                max_steps: limit,
-                record_trace: true,
-                ..Default::default()
-            };
-            let vm = Vm::new(config);
-            let legacy = vm.run(&module).unwrap();
-            let dec = vm.run_decoded(&module, &dm).unwrap();
-            assert_eq!(dec, legacy, "limit {limit}");
+        for module in [sum_module(), call_module()] {
+            let dm = decoded(&module);
+            let total = Vm::new(VmConfig::default()).run(&module).unwrap().steps;
+            for limit in 0..=total {
+                for record_trace in [false, true] {
+                    let config = VmConfig {
+                        max_steps: limit,
+                        record_trace,
+                        ..Default::default()
+                    };
+                    let vm = Vm::new(config);
+                    let legacy = vm.run(&module).unwrap();
+                    let dec = vm.run_decoded(&module, &dm).unwrap();
+                    assert_eq!(dec, legacy, "limit {limit} record {record_trace}");
+                }
+            }
         }
     }
 

@@ -63,8 +63,7 @@ impl Value {
     /// Flip bit `bit` (0 = least significant) of the payload, preserving the
     /// kind.  This is the single-bit-flip fault model of the paper.
     pub fn flip_bit(self, bit: u8) -> Value {
-        let mask = 1u64 << (bit as u32 % 64);
-        self.with_bits(self.bits() ^ mask)
+        self.with_bits(self.bits() ^ flip_mask(bit))
     }
 
     /// Truth value: non-zero payloads are true.  Used by `condbr`/`select`.
@@ -133,6 +132,11 @@ impl std::fmt::Display for Value {
             Value::P(v) => write!(f, "&{v}"),
         }
     }
+}
+
+/// The payload mask [`Value::flip_bit`] XORs in for `bit`.
+pub(crate) fn flip_mask(bit: u8) -> u64 {
+    1u64 << (bit as u32 % 64)
 }
 
 #[cfg(test)]
