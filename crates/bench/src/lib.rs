@@ -1,6 +1,7 @@
 //! `ftkr-bench` — experiment harness reproducing every table and figure of
-//! the FlipTracker paper, plus Criterion micro-benchmarks of the analysis
-//! machinery itself.
+//! the FlipTracker paper, plus the `campaign_shard` driver for sharded,
+//! resumable and served campaigns.  Performance is measured by the separate
+//! campaign benchmark (`bash perfbench/run.sh`).
 //!
 //! Each binary regenerates one artifact (run with `--release`):
 //!

@@ -716,6 +716,7 @@ impl Session {
         let app = &self.app;
         Ok(SpmdHarness {
             module: &self.app.module,
+            decoded: self.decoded_module(),
             nranks: nranks.max(1) as usize,
             coupling: decomp.coupling,
             max_steps: self.max_steps(),

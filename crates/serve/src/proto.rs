@@ -20,7 +20,9 @@ pub enum Request {
     Submit {
         /// The plan to execute (validated against the registry on arrival).
         plan: CampaignPlan,
-        /// How many shard jobs to split the plan into (clamped to ≥ 1).
+        /// How many shard jobs to split the plan into (clamped to
+        /// `1..=n_tests`; a count above the server's cap of 4096 is refused
+        /// with a `Plan` error).
         shards: u64,
         /// Fail-point schedule for the server's own machinery.
         chaos: FailPlan,

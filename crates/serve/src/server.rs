@@ -51,6 +51,11 @@ use crate::wire::{self, ProtocolError};
 /// tallies: the first execution plus one retry after a worker death.
 pub const JOB_ATTEMPTS: u32 = 2;
 
+/// Most shard jobs one submission may ask for.  The shard count arrives
+/// from the client and sizes per-job tables, so a larger request is refused
+/// before anything is allocated; real callers ask for a handful.
+const MAX_SHARDS: u64 = 4096;
+
 /// Chaos ordinal of a shard-job attempt — a pure function of the shard
 /// index and attempt (independent of job id), so a [`FailSite::WorkerJob`]
 /// schedule replays identically however submissions interleave.
@@ -308,6 +313,15 @@ fn submit(
         return Err(WireError::new(
             WireErrorKind::ShuttingDown,
             &"the server is draining and accepts no new plans",
+        ));
+    }
+    if shards > MAX_SHARDS {
+        return Err(WireError::new(
+            WireErrorKind::Plan,
+            &format_args!(
+                "{shards} shards requested; the server splits a plan into at most \
+                 {MAX_SHARDS}"
+            ),
         ));
     }
     // The resident server executes single-VM campaigns; multi-rank and

@@ -453,6 +453,36 @@ fn spmd_plans_are_refused_up_front_with_a_typed_error() {
 }
 
 #[test]
+fn an_oversized_shard_count_is_refused_before_any_allocation() {
+    let (addr, server) = spawn_server(quick_config());
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // Splitting 2^40 tests into 2^40 shards would size the shard table at
+    // terabytes; the request is refused with a typed error instead.
+    let huge = small_plan("MG", 1 << 40, 31);
+    match client.submit(&huge, u64::MAX, FailPlan::none()) {
+        Err(ftkr_serve::ServeError::Server(e)) => {
+            assert_eq!(e.kind, WireErrorKind::Plan);
+            assert!(
+                e.detail.contains("shards"),
+                "detail names the limit: {}",
+                e.detail
+            );
+        }
+        other => panic!("oversized shard count was not refused: {other:?}"),
+    }
+
+    // The same daemon still serves a normal job, byte-identical offline.
+    let plan = small_plan("MG", 6, 31);
+    let job = client.submit(&plan, 2, FailPlan::none()).expect("submit");
+    let report = client.watch(job, |_, _, _, _| {}).expect("watch");
+    assert_eq!(report, offline(&plan));
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+#[test]
 fn each_job_makes_exactly_one_cache_lookup() {
     let (addr, server) = spawn_server(quick_config());
     let mut client = Client::connect(&addr).expect("connect");

@@ -11,12 +11,17 @@
 //! representation — for every application in the registry, shard merges
 //! included.  The clean runs themselves are held to full `RunResult`
 //! equality (trace events, outputs, memory, step counts) under both the
-//! tracing and untraced configurations.
+//! tracing and untraced configurations.  A dead-window memory-fault
+//! campaign on MG and LU holds the batched executor's synthesized masked
+//! lanes to the serial campaign the same way.
 
 use fliptracker::prelude::*;
 use fliptracker::AnalyzedCampaignReport;
 use fliptracker::PatternTally;
-use ftkr_inject::{sample_site_fault, Campaign, CampaignCounts, CampaignReport, Outcome};
+use ftkr_inject::{
+    sample_site_fault, BatchContext, BatchScan, Campaign, CampaignCounts, CampaignReport,
+    FaultSite, Outcome,
+};
 use ftkr_patterns::StreamingDetector;
 use ftkr_vm::{DecodedModule, RunOutcome, Vm, VmConfig};
 
@@ -200,5 +205,43 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
             legacy,
             "{name} region {region:?}: analyzed sharded merge"
         );
+    }
+}
+
+/// The batched executor's synthesized-result path at registry scale: memory
+/// faults on every global cell one dynamic step before the run completes.
+/// A corrupted cell that is never read again masks, so the batched executor
+/// classifies those lanes from one sweep of the clean trace (clean or poked
+/// final memory through the real verifier) without executing them; its
+/// report must still be byte-identical to the serial campaign that runs
+/// every test.
+#[test]
+fn dead_window_memory_faults_batch_identically_to_serial_on_mg_and_lu() {
+    const N_TESTS: u64 = 48;
+    const DEAD_WINDOW_SEED: u64 = 0xBA7C_4ED0;
+    for name in ["MG", "LU"] {
+        let session = Session::by_name(name).expect("registry app");
+        let clean = session.clean_run();
+        let sites: Vec<FaultSite> = (0..clean.memory.globals_len())
+            .map(|addr| FaultSite {
+                at_step: clean.steps - 1,
+                mem_addr: Some(addr),
+                class: TargetClass::Input,
+            })
+            .collect();
+        let campaign = session.campaign(DEAD_WINDOW_SEED);
+        let ctx = BatchContext::new(clean);
+        let range = IndexRange::full(N_TESTS);
+
+        let scan = BatchScan::sweep(DEAD_WINDOW_SEED, &sites, range, &ctx);
+        assert!(
+            scan.masked() > 0,
+            "{name}: no dead-window lane masked, so the synthesized path went unchecked"
+        );
+        let serial = campaign.run_range(&sites, range).to_json();
+        let batched = campaign
+            .run_range_batched(&sites, range, &ctx, None)
+            .to_json();
+        assert_eq!(batched, serial, "{name}: batched dead-window report");
     }
 }
