@@ -39,8 +39,13 @@ impl AclVisitor {
 
 impl TraceVisitor for AclVisitor {
     fn on_event(&mut self, ctx: &EventCtx<'_>) {
-        self.sweep
-            .step(ctx.index, ctx.event, ctx.reads, ctx.locations, &mut self.table);
+        self.sweep.step(
+            ctx.index,
+            ctx.event,
+            ctx.reads,
+            ctx.locations,
+            &mut self.table,
+        );
     }
 
     fn on_finish(&mut self, end: &WalkEnd<'_>) {
@@ -85,7 +90,10 @@ mod tests {
         assert_eq!(via_cursor.final_corrupted, direct.final_corrupted);
         assert_eq!(via_cursor.deaths.len(), direct.deaths.len());
         for (a, b) in via_cursor.deaths.iter().zip(&direct.deaths) {
-            assert_eq!((a.event, a.location, a.cause, a.line), (b.event, b.location, b.cause, b.line));
+            assert_eq!(
+                (a.event, a.location, a.cause, a.line),
+                (b.event, b.location, b.cause, b.line)
+            );
         }
     }
 }

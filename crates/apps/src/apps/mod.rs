@@ -120,7 +120,11 @@ mod tests {
     #[test]
     fn every_app_verifies_and_completes_cleanly() {
         for app in all_apps() {
-            assert!(app.module.verify().is_ok(), "{} module is malformed", app.name);
+            assert!(
+                app.module.verify().is_ok(),
+                "{} module is malformed",
+                app.name
+            );
             let result = app.run_clean();
             assert!(
                 app.verify(&result),
@@ -136,8 +140,7 @@ mod tests {
         for app in all_apps() {
             let traced = app.run_traced();
             let trace = traced.trace.as_ref().unwrap();
-            let regions =
-                partition_regions(trace, &app.module, &RegionSelector::FirstLevelInner);
+            let regions = partition_regions(trace, &app.module, &RegionSelector::FirstLevelInner);
             let found: std::collections::HashSet<_> =
                 regions.iter().map(|r| r.key.name.clone()).collect();
             for wanted in &app.regions {

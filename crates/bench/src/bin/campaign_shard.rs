@@ -488,7 +488,11 @@ fn cmd_submit(args: &[String]) {
         exit(1);
     });
     // Default shard count: one job per worker the default config would run.
-    let k = if k == 0 { ServerConfig::default().workers as u64 } else { k };
+    let k = if k == 0 {
+        ServerConfig::default().workers as u64
+    } else {
+        k
+    };
     let mut client =
         Client::connect(addr.as_str()).unwrap_or_else(|e| serve_fail("cannot connect", e));
     let job = client
@@ -518,7 +522,9 @@ fn cmd_server_stats(args: &[String]) {
     };
     let mut client =
         Client::connect(addr.as_str()).unwrap_or_else(|e| serve_fail("cannot connect", e));
-    let stats = client.stats().unwrap_or_else(|e| serve_fail("stats refused", e));
+    let stats = client
+        .stats()
+        .unwrap_or_else(|e| serve_fail("stats refused", e));
     println!(
         "{}",
         serde_json::to_string_pretty(&stats).expect("stats serialize")
@@ -664,7 +670,13 @@ fn cmd_serial_vs_parallel(args: &[String]) {
 
     let plan_for = |target: CampaignTarget, ranks: u32| {
         session
-            .plan_spmd(target, TargetClass::Internal, n_tests, ranks, RankTarget::Sweep)
+            .plan_spmd(
+                target,
+                TargetClass::Internal,
+                n_tests,
+                ranks,
+                RankTarget::Sweep,
+            )
             .unwrap_or_else(|e| {
                 eprintln!("campaign_shard: {e}");
                 exit(1);
@@ -702,11 +714,27 @@ fn cmd_serial_vs_parallel(args: &[String]) {
     };
     println!("  computation faults (whole program)");
     let (c1, c4) = (&comp1_report, &comp4_report);
-    row("    success", c1.report.counts.success, c4.report.counts.success);
-    row("    failed", c1.report.counts.failed, c4.report.counts.failed);
-    row("    crashed", c1.report.counts.crashed(), c4.report.counts.crashed());
+    row(
+        "    success",
+        c1.report.counts.success,
+        c4.report.counts.success,
+    );
+    row(
+        "    failed",
+        c1.report.counts.failed,
+        c4.report.counts.failed,
+    );
+    row(
+        "    crashed",
+        c1.report.counts.crashed(),
+        c4.report.counts.crashed(),
+    );
     row("    masked", c1.divergence.masked, c4.divergence.masked);
-    row("    contained", c1.divergence.contained, c4.divergence.contained);
+    row(
+        "    contained",
+        c1.divergence.contained,
+        c4.divergence.contained,
+    );
     row("    spread", c1.divergence.spread, c4.divergence.spread);
     println!(
         "  message faults (census {} vs {} messages)",
@@ -714,10 +742,22 @@ fn cmd_serial_vs_parallel(args: &[String]) {
         msg4_report.report.population / 64
     );
     let (m1, m4) = (&msg1_report, &msg4_report);
-    row("    success", m1.report.counts.success, m4.report.counts.success);
-    row("    failed", m1.report.counts.failed, m4.report.counts.failed);
+    row(
+        "    success",
+        m1.report.counts.success,
+        m4.report.counts.success,
+    );
+    row(
+        "    failed",
+        m1.report.counts.failed,
+        m4.report.counts.failed,
+    );
     row("    masked", m1.divergence.masked, m4.divergence.masked);
-    row("    contained", m1.divergence.contained, m4.divergence.contained);
+    row(
+        "    contained",
+        m1.divergence.contained,
+        m4.divergence.contained,
+    );
     row("    spread", m1.divergence.spread, m4.divergence.spread);
 }
 

@@ -152,7 +152,11 @@ impl Session {
         self.check_plan(plan)?;
         let sites = self.sites(&plan.target, plan.class)?;
         let fork = Session::fork_step(&sites);
-        let snapshot = if fork > 0 { self.checkpoint_at(fork) } else { None };
+        let snapshot = if fork > 0 {
+            self.checkpoint_at(fork)
+        } else {
+            None
+        };
         self.run_plan_analyzed_with(plan, snapshot.as_ref(), chaos)
     }
 
@@ -197,7 +201,11 @@ impl Session {
         // outcome tally is bit-identical to `Session::run_plan`.
         let population = sites.len() as u64 * 64;
         let (counts, patterns, tests_with_patterns) = if sites.is_empty() || shard.is_empty() {
-            (ftkr_inject::CampaignCounts::default(), PatternTally::default(), 0)
+            (
+                ftkr_inject::CampaignCounts::default(),
+                PatternTally::default(),
+                0,
+            )
         } else {
             (shard.start..shard.end)
                 .into_par_iter()
@@ -368,7 +376,11 @@ mod tests {
             ..FailPlan::uniform(8, 0)
         };
         let shaken = session.run_plan_analyzed_chaos(&plan, chaos).unwrap();
-        assert!(shaken.report.counts.degraded > 0, "{:?}", shaken.report.counts);
+        assert!(
+            shaken.report.counts.degraded > 0,
+            "{:?}",
+            shaken.report.counts
+        );
         assert!(shaken.report.is_tainted());
         // Degraded tests fall back to the cold executor with a fresh
         // detector: outcome tallies AND pattern tallies are unchanged.

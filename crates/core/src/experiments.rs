@@ -403,9 +403,9 @@ impl Table2 {
     /// True when the error magnitude is non-increasing over the invocations
     /// (the Repeated Additions effect the paper demonstrates).
     pub fn error_shrinks(&self) -> bool {
-        self.rows
-            .windows(2)
-            .all(|w| w[1].error_magnitude <= w[0].error_magnitude || !w[0].error_magnitude.is_finite())
+        self.rows.windows(2).all(|w| {
+            w[1].error_magnitude <= w[0].error_magnitude || !w[0].error_magnitude.is_finite()
+        })
     }
 
     /// Render as an aligned text table.
@@ -492,7 +492,11 @@ pub fn table2(element: usize, bit: u8) -> Table2 {
     // snapshotted in one forward pass per trace instead of one rescan per
     // iteration row.
     let clean_iters = session.iterations();
-    let faulty_iters = partition_iterations(&faulty, &session.app().module, Some(session.app().main_loop));
+    let faulty_iters = partition_iterations(
+        &faulty,
+        &session.app().module,
+        Some(session.app().main_loop),
+    );
     let clean_ends: Vec<usize> = clean_iters.iter().map(|c| c.end).collect();
     let faulty_ends: Vec<usize> = faulty_iters.iter().map(|f| f.end).collect();
     let originals = cell_values_at_boundaries(clean, addr, &clean_ends, 0.0);

@@ -36,8 +36,9 @@ use ftkr_inject::{
     SpmdCleanState, SpmdFaults, SpmdHarness, TargetClass,
 };
 use ftkr_patterns::{assign_to_regions, state_fnv, PatternRates, RegionPatternSummary};
-use ftkr_trace::{instance_slice, partition_iterations, partition_regions, RegionInstance,
-    RegionSelector};
+use ftkr_trace::{
+    instance_slice, partition_iterations, partition_regions, RegionInstance, RegionSelector,
+};
 use ftkr_vm::{DecodedModule, FaultSpec, RunResult, Trace, TraceScope, Vm, VmConfig, VmSnapshot};
 
 use crate::effort::Effort;
@@ -356,7 +357,10 @@ impl Session {
         // Build outside the lock (construction replays the clean trace); a
         // racing builder's graph is identical, and the first insert wins so
         // every caller converges on one canonical Arc.
-        let g = Arc::new(Dddg::from_slice(instance_slice(self.clean_trace(), instance)));
+        let g = Arc::new(Dddg::from_slice(instance_slice(
+            self.clean_trace(),
+            instance,
+        )));
         Arc::clone(
             self.dddgs
                 .lock()
@@ -438,9 +442,7 @@ impl Session {
             .chain(self.iterations())
             .find(|i| i.start == start && i.end == end)
             .cloned()
-            .ok_or_else(|| {
-                PlanError::UnknownTarget(format!("instance at events [{start}, {end})"))
-            })
+            .ok_or_else(|| PlanError::UnknownTarget(format!("instance at events [{start}, {end})")))
     }
 
     /// Derive a target's site list from a region-scoped clean re-run
@@ -542,7 +544,10 @@ impl Session {
             }
             bytes += run.memory.resident_bytes() as u64;
         }
-        for instances in [self.regions.get(), self.iterations.get()].into_iter().flatten() {
+        for instances in [self.regions.get(), self.iterations.get()]
+            .into_iter()
+            .flatten()
+        {
             bytes += (instances.len() * size_of::<RegionInstance>()) as u64;
         }
         if let Some(views) = self.views.get() {
@@ -570,10 +575,7 @@ impl Session {
 
     /// A campaign against this application, judged by its verification
     /// phase, with the hang-detection step limit already set.
-    pub fn campaign(
-        &self,
-        seed: u64,
-    ) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
+    pub fn campaign(&self, seed: u64) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
         Campaign::new(&app.module, move |r| app.verify(r))
             .with_decoded(self.decoded_module())
@@ -656,7 +658,11 @@ impl Session {
             let sites = self.plan_sites(plan)?;
             let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
             let fork = Self::fork_step(&sites);
-            let snapshot = if fork > 0 { self.checkpoint_at(fork) } else { None };
+            let snapshot = if fork > 0 {
+                self.checkpoint_at(fork)
+            } else {
+                None
+            };
             return Ok(self
                 .campaign(plan.seed)
                 .with_chaos(chaos)
@@ -976,9 +982,8 @@ impl Session {
                     // Deterministically spread the analysis injections over
                     // the region's sites and over different bit positions.
                     for k in 0..effort.analysis_injections {
-                        let site = sites[(k * sites.len()
-                            / effort.analysis_injections.max(1))
-                        .min(sites.len() - 1)];
+                        let site = sites[(k * sites.len() / effort.analysis_injections.max(1))
+                            .min(sites.len() - 1)];
                         let bit = [30u8, 52, 12, 40, 3, 61][k % 6];
                         let fault = site.with_bit(bit);
                         let report = self.injection(fault).run();
@@ -1038,11 +1043,7 @@ impl Session {
             Some(f) => f,
             None => self.default_fault()?,
         };
-        let report = self
-            .injection(fault)
-            .with_acl()
-            .with_region_cases()
-            .run();
+        let report = self.injection(fault).with_acl().with_region_cases().run();
         Some(InjectionAnalysis {
             fault,
             outcome: report.outcome,
@@ -1150,11 +1151,13 @@ mod tests {
             session.run_plan(&plan),
             Err(PlanError::AppMismatch { .. })
         ));
-        let plan = CampaignPlan::new("NOPE", CampaignTarget::WholeProgram, TargetClass::Internal, 4);
-        assert!(matches!(
-            execute_plan(&plan),
-            Err(PlanError::UnknownApp(_))
-        ));
+        let plan = CampaignPlan::new(
+            "NOPE",
+            CampaignTarget::WholeProgram,
+            TargetClass::Internal,
+            4,
+        );
+        assert!(matches!(execute_plan(&plan), Err(PlanError::UnknownApp(_))));
         // A window past the fault-free step count cannot belong to this app:
         // a stale plan is rejected instead of sampling the wrong population.
         let stale = CampaignPlan::new(
@@ -1242,7 +1245,13 @@ mod tests {
             name: session.app().regions[0].clone(),
         };
         assert!(matches!(
-            session.plan_spmd(target.clone(), TargetClass::Internal, 4, 4, RankTarget::Sweep),
+            session.plan_spmd(
+                target.clone(),
+                TargetClass::Internal,
+                4,
+                4,
+                RankTarget::Sweep
+            ),
             Err(PlanError::NoSpmdDecomposition(_))
         ));
         let plan = CampaignPlan::new("LU", target, TargetClass::Internal, 4)
@@ -1313,7 +1322,11 @@ mod tests {
         let session = Session::by_name("IS").unwrap();
         let region = session.app().regions.last().unwrap().clone();
         let plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 12)
+            .plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                12,
+            )
             .unwrap()
             .with_seed(5);
         let cold = session.run_plan_cold(&plan).unwrap();
@@ -1339,7 +1352,11 @@ mod tests {
         let session = Session::by_name("IS").unwrap();
         let region = session.app().regions.last().unwrap().clone();
         let serial_plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 24)
+            .plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                24,
+            )
             .unwrap()
             .with_seed(9);
         let batched_plan = serial_plan.clone().with_batched();
@@ -1373,7 +1390,11 @@ mod tests {
         let session = Session::by_name("IS").unwrap();
         let region = session.app().regions.last().unwrap().clone();
         let plan = session
-            .plan(CampaignTarget::Region { name: region }, TargetClass::Internal, 16)
+            .plan(
+                CampaignTarget::Region { name: region },
+                TargetClass::Internal,
+                16,
+            )
             .unwrap()
             .with_seed(21);
         let undisturbed = session.run_plan(&plan).unwrap();

@@ -148,7 +148,11 @@ impl DddgBuilder {
                 self.g.written_final[self.written_at[id.index()] as usize].1 = to;
             }
             for &from in &self.read_nodes {
-                self.g.edges.push(DddgEdge { from, to, event: idx });
+                self.g.edges.push(DddgEdge {
+                    from,
+                    to,
+                    event: idx,
+                });
             }
         }
     }
@@ -169,7 +173,13 @@ impl Dddg {
         b.written_at = vec![NO_NODE; trace.num_locations()];
         for (idx, view) in slice.iter() {
             let event = view.event();
-            b.push(idx, view.read_ids(), event.write, event.line, trace.locations());
+            b.push(
+                idx,
+                view.read_ids(),
+                event.write,
+                event.line,
+                trace.locations(),
+            );
         }
         b.finish()
     }
@@ -323,7 +333,11 @@ impl Dddg {
             );
         }
         for e in &self.edges {
-            let _ = writeln!(s, "  n{} -> n{} [label=\"e{}\"];", e.from.0, e.to.0, e.event);
+            let _ = writeln!(
+                s,
+                "  n{} -> n{} [label=\"e{}\"];",
+                e.from.0, e.to.0, e.event
+            );
         }
         s.push_str("}\n");
         s
@@ -383,8 +397,12 @@ mod tests {
         let g = Dddg::from_slice(t.full());
         let inputs = g.inputs();
         assert_eq!(inputs.len(), 2);
-        assert!(inputs.iter().any(|(l, v)| *l == reg(0) && *v == Value::F(1.0)));
-        assert!(inputs.iter().any(|(l, v)| *l == reg(1) && *v == Value::F(2.0)));
+        assert!(inputs
+            .iter()
+            .any(|(l, v)| *l == reg(0) && *v == Value::F(1.0)));
+        assert!(inputs
+            .iter()
+            .any(|(l, v)| *l == reg(1) && *v == Value::F(2.0)));
 
         let leaves = g.leaf_outputs();
         assert_eq!(leaves, vec![(Location::mem(7), Value::F(9.0))]);

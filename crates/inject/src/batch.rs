@@ -42,9 +42,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use ftkr_vm::{
-    EventKind, FaultSpec, FaultTarget, LocationId, RunResult, Trace, Value, VmSnapshot,
-};
+use ftkr_vm::{EventKind, FaultSpec, FaultTarget, LocationId, RunResult, Trace, Value, VmSnapshot};
 
 use crate::campaign::{sample_site_fault, Campaign, CampaignReport, TestOutcome};
 use crate::chaos::FailSite;
@@ -234,10 +232,7 @@ impl BatchScan {
                                     from: pos + 1,
                                     bit: fault.bit,
                                 },
-                                None => Pending::Reg {
-                                    loc,
-                                    from: pos + 1,
-                                },
+                                None => Pending::Reg { loc, from: pos + 1 },
                             },
                         }
                     }
@@ -504,9 +499,14 @@ where
                 LaneState::MaskedClean => {
                     self.test_masked(ctx, index, fault, snapshot, None, &clean_pass)
                 }
-                LaneState::MaskedPoke { addr, value } => {
-                    self.test_masked(ctx, index, fault, snapshot, Some((addr, value)), &clean_pass)
-                }
+                LaneState::MaskedPoke { addr, value } => self.test_masked(
+                    ctx,
+                    index,
+                    fault,
+                    snapshot,
+                    Some((addr, value)),
+                    &clean_pass,
+                ),
             }
         })
     }
@@ -709,10 +709,7 @@ mod tests {
         let range = IndexRange::full(64);
         let scan = BatchScan::sweep(7, &sites, range, &ctx);
         assert_eq!(scan.diverged(), 0, "nothing ever reads out[1]");
-        assert!(scan
-            .divergence_masks()
-            .iter()
-            .all(|&w| w == 0));
+        assert!(scan.divergence_masks().iter().all(|&w| w == 0));
         let serial = campaign.run_range(&sites, range);
         let batched = campaign.run_range_batched(&sites, range, &ctx, None);
         assert_eq!(batched, serial);
@@ -837,13 +834,11 @@ mod tests {
             .snapshot_at(&m, trace.len() as u64 / 2)
             .unwrap()
             .unwrap();
-        let campaign =
-            Campaign::new(&m, verify_sum16).with_max_steps(hang_budget_for(&clean));
+        let campaign = Campaign::new(&m, verify_sum16).with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
         // Whole-trace sites sample faults inside the restored prefix; the
         // batched forked mode must reject them as loudly as the serial one.
-        let _ =
-            campaign.run_range_batched(&sites, IndexRange::full(32), &ctx, Some(&snapshot));
+        let _ = campaign.run_range_batched(&sites, IndexRange::full(32), &ctx, Some(&snapshot));
     }
 
     #[test]
@@ -871,7 +866,9 @@ mod tests {
         // sweep works in steps, so the verdicts (and the report) agree.
         let m = sum16();
         let full = clean_run(&m);
-        let elided = Vm::new(VmConfig::tracing().without_markers()).run(&m).unwrap();
+        let elided = Vm::new(VmConfig::tracing().without_markers())
+            .run(&m)
+            .unwrap();
         let trace = full.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let campaign = Campaign::new(&m, verify_sum16)

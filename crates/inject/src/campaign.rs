@@ -547,8 +547,7 @@ mod tests {
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         assert!(!sites.is_empty());
-        let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
         let report = campaign.run(&sites, 200);
         assert_eq!(report.counts.total(), 200);
         assert_eq!(report.population, sites.len() as u64 * 64);
@@ -566,8 +565,16 @@ mod tests {
         );
         // Low-order mantissa flips are tolerated, so some runs succeed; flips
         // in the loop counter or addresses crash or corrupt, so not all do.
-        assert!(report.success_rate() > 0.05, "rate {}", report.success_rate());
-        assert!(report.success_rate() < 1.0, "rate {}", report.success_rate());
+        assert!(
+            report.success_rate() > 0.05,
+            "rate {}",
+            report.success_rate()
+        );
+        assert!(
+            report.success_rate() < 1.0,
+            "rate {}",
+            report.success_rate()
+        );
     }
 
     #[test]
@@ -602,10 +609,13 @@ mod tests {
         // The accumulator cell is overwritten by the first loop iteration, so
         // input faults at step 0 are frequently masked (Data Overwriting).
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
-        let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
         let report = campaign.run(&sites, 64);
-        assert!(report.success_rate() > 0.9, "rate {}", report.success_rate());
+        assert!(
+            report.success_rate() > 0.9,
+            "rate {}",
+            report.success_rate()
+        );
     }
 
     #[test]
@@ -615,7 +625,9 @@ mod tests {
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let max_steps = hang_budget_for(&clean);
-        let campaign = Campaign::new(&m, verify).with_seed(42).with_max_steps(max_steps);
+        let campaign = Campaign::new(&m, verify)
+            .with_seed(42)
+            .with_max_steps(max_steps);
         // The fault of test i is a pure function of (seed, i).
         for i in [0u64, 1, 7, 63] {
             assert_eq!(
@@ -661,8 +673,7 @@ mod tests {
         // n = 128 / (1 + 0.03² · 127 / (1.96² · 0.25)) = 114.4… → 115.
         let expected = sample_size(population, Confidence::C95, 0.03);
         assert_eq!(expected, 115);
-        let campaign =
-            Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
         let report = campaign.run_sized(&sites, Confidence::C95, 0.03);
         assert_eq!(report.population, population);
         assert_eq!(report.n_tests, expected);
@@ -748,10 +759,8 @@ mod tests {
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool {
-            panic!("verifier bug")
-        })
-        .with_max_steps(hang_budget_for(&clean));
+        let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("verifier bug") })
+            .with_max_steps(hang_budget_for(&clean));
         // The shard survives; every completed run classifies as a harness
         // error, and trapped runs still classify by their crash kind.
         let report = poisoned.run(&sites, 32);
@@ -782,7 +791,10 @@ mod tests {
             .with_max_steps(hang_budget_for(&clean))
             .with_chaos(chaos);
         let report = campaign.run(&sites, 64);
-        assert!(report.counts.harness_errors > 0, "~half the verdicts are poisoned");
+        assert!(
+            report.counts.harness_errors > 0,
+            "~half the verdicts are poisoned"
+        );
         assert!(report.is_tainted());
         // The schedule is a pure function of (seed, index): re-running
         // reproduces the tainted tally bit-identically.
@@ -829,7 +841,9 @@ mod tests {
     fn marker_elided_traces_yield_the_same_hang_budget_as_full_traces() {
         let m = module();
         let full = Vm::new(VmConfig::tracing()).run(&m).unwrap();
-        let elided = Vm::new(VmConfig::tracing().without_markers()).run(&m).unwrap();
+        let elided = Vm::new(VmConfig::tracing().without_markers())
+            .run(&m)
+            .unwrap();
         let full_trace = full.trace.as_ref().unwrap();
         let elided_trace = elided.trace.as_ref().unwrap();
         // The program loops, so the elided event stream is genuinely shorter

@@ -329,10 +329,7 @@ mod tests {
             TargetClass::Internal,
             16,
         );
-        assert_eq!(
-            CampaignPlan::from_json(&whole.to_json()).unwrap(),
-            whole
-        );
+        assert_eq!(CampaignPlan::from_json(&whole.to_json()).unwrap(), whole);
     }
 
     #[test]
@@ -383,9 +380,8 @@ mod tests {
         assert!(plan.is_spmd());
         assert_eq!(CampaignPlan::from_json(&plan.to_json()).unwrap(), plan);
 
-        let messages =
-            CampaignPlan::new("CG", CampaignTarget::Messages, TargetClass::Internal, 16)
-                .with_ranks(4, RankTarget::Sweep);
+        let messages = CampaignPlan::new("CG", CampaignTarget::Messages, TargetClass::Internal, 16)
+            .with_ranks(4, RankTarget::Sweep);
         assert!(messages.is_spmd());
         assert_eq!(messages.target.label(), "messages");
         assert_eq!(

@@ -671,7 +671,10 @@ mod tests {
         // The census mixes result-broadcast edges (corruption lands in one
         // rank: contained) with halo/gather edges (corruption reaches the
         // global sum: spread) — both classes must appear.
-        assert!(report.divergence.contained > 0, "no contained message faults");
+        assert!(
+            report.divergence.contained > 0,
+            "no contained message faults"
+        );
         assert!(report.divergence.spread > 0, "no spread message faults");
         // And the campaign is deterministic.
         let again = h.run_range(&clean, &SpmdFaults::Messages, 3, IndexRange::full(40));

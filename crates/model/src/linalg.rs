@@ -194,7 +194,10 @@ mod tests {
         assert_eq!(c.get(1, 1), 50.0);
         let t = a.transpose();
         assert_eq!(t.get(0, 1), 3.0);
-        assert_eq!(Matrix::identity(3).matmul(&Matrix::identity(3)), Matrix::identity(3));
+        assert_eq!(
+            Matrix::identity(3).matmul(&Matrix::identity(3)),
+            Matrix::identity(3)
+        );
     }
 
     #[test]

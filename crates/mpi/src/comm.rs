@@ -379,7 +379,11 @@ mod tests {
     #[test]
     fn broadcast_from_root() {
         let results = run_spmd(4, |mut comm| {
-            let data = if comm.rank() == 2 { vec![42.0] } else { vec![0.0] };
+            let data = if comm.rank() == 2 {
+                vec![42.0]
+            } else {
+                vec![0.0]
+            };
             comm.broadcast(2, &data)[0]
         })
         .unwrap();
@@ -487,7 +491,9 @@ mod tests {
                 comm.send(1, 0, vec![1.0]); // ordinal 2: clean again
                 vec![]
             } else {
-                (0..3).map(|_| comm.recv(Some(0), Some(0)).data[0]).collect()
+                (0..3)
+                    .map(|_| comm.recv(Some(0), Some(0)).data[0])
+                    .collect()
             }
         })
         .unwrap();
@@ -512,8 +518,20 @@ mod tests {
         assert_eq!(
             results[0],
             vec![
-                SendRecord { from: 0, to: 1, tag: 3, ordinal: 0, len: 2 },
-                SendRecord { from: 0, to: 1, tag: 4, ordinal: 1, len: 1 },
+                SendRecord {
+                    from: 0,
+                    to: 1,
+                    tag: 3,
+                    ordinal: 0,
+                    len: 2
+                },
+                SendRecord {
+                    from: 0,
+                    to: 1,
+                    tag: 4,
+                    ordinal: 1,
+                    len: 1
+                },
             ]
         );
         assert!(results[1].is_empty());

@@ -148,8 +148,12 @@ impl WorkerPool {
         self.drain();
         self.state.stop.store(true, Ordering::SeqCst);
         self.state.signal.notify_all();
-        let handles: Vec<JoinHandle<()>> =
-            self.threads.lock().expect("pool threads poisoned").drain(..).collect();
+        let handles: Vec<JoinHandle<()>> = self
+            .threads
+            .lock()
+            .expect("pool threads poisoned")
+            .drain(..)
+            .collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -238,7 +242,10 @@ mod tests {
                 slow += 1;
             }
         }
-        assert!(slow < trips / 20, "{slow} of {trips} round trips waited ≥ 4 ms");
+        assert!(
+            slow < trips / 20,
+            "{slow} of {trips} round trips waited ≥ 4 ms"
+        );
         pool.join();
     }
 

@@ -94,9 +94,7 @@ impl RegionSelector {
     fn selects(&self, name: &str, kind: LoopKind, inside_open_region: bool) -> bool {
         match self {
             RegionSelector::FirstLevelInner => kind == LoopKind::Inner && !inside_open_region,
-            RegionSelector::Named(names) => {
-                !inside_open_region && names.iter().any(|n| n == name)
-            }
+            RegionSelector::Named(names) => !inside_open_region && names.iter().any(|n| n == name),
             RegionSelector::AllLoops => true,
         }
     }
@@ -366,8 +364,7 @@ mod tests {
     fn named_selector_picks_only_requested_regions() {
         let module = nested_module();
         let trace = traced(&module);
-        let regions =
-            partition_regions(&trace, &module, &RegionSelector::named(["region_b"]));
+        let regions = partition_regions(&trace, &module, &RegionSelector::named(["region_b"]));
         assert_eq!(regions.len(), 3);
         assert!(regions.iter().all(|r| r.key.name == "region_b"));
     }
@@ -383,7 +380,10 @@ mod tests {
         assert!(names.contains("inner_nested"));
         // nested instances overlap their parents: main_loop instance covers all.
         let main_inst = regions.iter().find(|r| r.key.name == "main_loop").unwrap();
-        let nested = regions.iter().find(|r| r.key.name == "inner_nested").unwrap();
+        let nested = regions
+            .iter()
+            .find(|r| r.key.name == "inner_nested")
+            .unwrap();
         assert!(main_inst.start <= nested.start && nested.end <= main_inst.end);
     }
 
@@ -449,8 +449,7 @@ mod tests {
                     .filter(|&i| !full.events[i].kind.is_marker())
                     .map(|i| full.resolved(i))
                     .collect();
-                let fb_events: Vec<_> =
-                    (fb.start..fb.end).map(|i| lean.resolved(i)).collect();
+                let fb_events: Vec<_> = (fb.start..fb.end).map(|i| lean.resolved(i)).collect();
                 assert_eq!(fa_events, fb_events, "region {:?}", fa.key.name);
             }
         }

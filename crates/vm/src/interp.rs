@@ -2,12 +2,11 @@
 //! and optionally flipping one bit somewhere along the way.
 
 use ftkr_ir::decode::{DInst, DOperand, DOperandKind, DecodedFunction, DecodedModule, FUSED_TAIL};
+use ftkr_ir::inst::Intrinsic;
 use ftkr_ir::verify::verify_executable;
 use ftkr_ir::{
-    BinKind, BlockId, CastKind, CmpKind, FunctionId, Module, Op, Operand, ValueId,
-    VerifyError,
+    BinKind, BlockId, CastKind, CmpKind, FunctionId, Module, Op, Operand, ValueId, VerifyError,
 };
-use ftkr_ir::inst::Intrinsic;
 
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::location::Location;
@@ -477,9 +476,7 @@ impl Vm {
         args: Vec<Value>,
     ) -> Result<RunResult, VerifyError> {
         ftkr_ir::verify::verify_module(module)?;
-        let (fid, f) = module
-            .function_by_name(entry)
-            .ok_or(VerifyError::NoMain)?;
+        let (fid, f) = module.function_by_name(entry).ok_or(VerifyError::NoMain)?;
         assert_eq!(
             f.num_args as usize,
             args.len(),
@@ -860,7 +857,11 @@ impl<'m> Interp<'m> {
             memory: img.memory.clone(),
             outputs: img.outputs.clone(),
             trace,
-            mem_ids: if recording { img.mem_ids.clone() } else { Vec::new() },
+            mem_ids: if recording {
+                img.mem_ids.clone()
+            } else {
+                Vec::new()
+            },
             frames,
             steps: img.step,
             next_frame_id: img.next_frame_id,
@@ -968,11 +969,7 @@ impl<'m> Interp<'m> {
         // A trap can abort a step after its operand reads were pooled but
         // before the event was pushed; drop that dangling tail so the pool
         // length always equals the sum of the event spans.
-        let pool_end = self
-            .trace
-            .events
-            .last()
-            .map_or(0, |e| e.reads.range().end);
+        let pool_end = self.trace.events.last().map_or(0, |e| e.reads.range().end);
         self.trace.pool.truncate(pool_end);
 
         RunResult {
@@ -1273,11 +1270,10 @@ impl<'m> Interp<'m> {
                     // Intern argument locations whenever tracing is on (not
                     // just inside the scope window) so frames entered before
                     // a window still resolve their argument reads inside it.
-                    let (v, loc) =
-                        match self.resolve(frame_idx, *a, self.config.record_trace) {
-                            Ok(x) => x,
-                            Err(t) => return StepFlow::Trap(t),
-                        };
+                    let (v, loc) = match self.resolve(frame_idx, *a, self.config.record_trace) {
+                        Ok(x) => x,
+                        Err(t) => return StepFlow::Trap(t),
+                    };
                     if record {
                         if let Some(l) = loc {
                             self.trace.pool.push((l, v));
@@ -1352,7 +1348,10 @@ impl<'m> Interp<'m> {
                 kind = EventKind::Output { format: *format };
             }
             Op::LoopBegin {
-                id, depth, kind: lk, ..
+                id,
+                depth,
+                kind: lk,
+                ..
             } => {
                 kind = EventKind::LoopBegin {
                     id: *id,
@@ -2213,7 +2212,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_fault_at_step_zero_corrupts_initial_global()  {
+    fn memory_fault_at_step_zero_corrupts_initial_global() {
         let module = sum_module();
         // Global `sum` occupies cell 0; flipping bit 3 before any instruction
         // gives it the value 8, but the program overwrites it => final value
@@ -2268,7 +2267,12 @@ mod tests {
         b.ret(None);
         m.add_function(b.finish());
         let r = Vm::new(VmConfig::default()).run(&m).unwrap();
-        let vals: Vec<f64> = r.outputs.values().iter().map(|v| v.as_f64().unwrap()).collect();
+        let vals: Vec<f64> = r
+            .outputs
+            .values()
+            .iter()
+            .map(|v| v.as_f64().unwrap())
+            .collect();
         assert_eq!(vals, vec![2.0, 3.5, 1024.0]);
     }
 
@@ -2462,7 +2466,10 @@ mod tests {
         let cold_run = vm.run_with_visitors(&module, &mut [&mut cold]).unwrap();
 
         let fork = cold_run.steps / 2;
-        let snap = vm.snapshot_at(&module, fork).unwrap().expect("mid-run step");
+        let snap = vm
+            .snapshot_at(&module, fork)
+            .unwrap()
+            .expect("mid-run step");
         // Markers are elided from the stream, so the event cursor lags the
         // step counter.
         assert!(snap.events_emitted() < snap.step());

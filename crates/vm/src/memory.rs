@@ -40,8 +40,12 @@ impl Memory {
         for g in &module.globals {
             let base = cells.len() as u64;
             match &g.init {
-                GlobalInit::ZeroI64 => cells.extend(std::iter::repeat_n(Value::I(0), g.size as usize)),
-                GlobalInit::ZeroF64 => cells.extend(std::iter::repeat_n(Value::F(0.0), g.size as usize)),
+                GlobalInit::ZeroI64 => {
+                    cells.extend(std::iter::repeat_n(Value::I(0), g.size as usize))
+                }
+                GlobalInit::ZeroF64 => {
+                    cells.extend(std::iter::repeat_n(Value::F(0.0), g.size as usize))
+                }
                 GlobalInit::I64(data) => cells.extend(data.iter().map(|&v| Value::I(v))),
                 GlobalInit::F64(data) => cells.extend(data.iter().map(|&v| Value::F(v))),
             }

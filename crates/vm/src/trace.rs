@@ -360,9 +360,7 @@ impl Trace {
     /// the number of elided markers that executed before it.  For traces
     /// recorded without `skip_markers` this is simply `base_step + idx`.
     pub fn step_of(&self, idx: usize) -> u64 {
-        let elided = self
-            .markers
-            .partition_point(|m| m.at_event as usize <= idx);
+        let elided = self.markers.partition_point(|m| m.at_event as usize <= idx);
         self.base_step + idx as u64 + elided as u64
     }
 

@@ -190,9 +190,15 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
         .to_json();
 
         let analyzed = session.run_plan_analyzed(&plan).unwrap().to_json();
-        assert_eq!(analyzed, legacy, "{name} region {region:?}: analyzed decoded");
+        assert_eq!(
+            analyzed, legacy,
+            "{name} region {region:?}: analyzed decoded"
+        );
         let cold = session.run_plan_analyzed_cold(&plan).unwrap().to_json();
-        assert_eq!(cold, legacy, "{name} region {region:?}: analyzed cold decoded");
+        assert_eq!(
+            cold, legacy,
+            "{name} region {region:?}: analyzed cold decoded"
+        );
 
         let merged = plan
             .shards(2)

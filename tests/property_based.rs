@@ -349,7 +349,14 @@ fn assert_acl_eq(a: &AclTable, b: &AclTable) {
     let key = |t: &AclTable| -> Vec<(usize, Location, bool, u32)> {
         t.deaths
             .iter()
-            .map(|d| (d.event, d.location, d.cause == ftkr_acl::DeathCause::Overwritten, d.line))
+            .map(|d| {
+                (
+                    d.event,
+                    d.location,
+                    d.cause == ftkr_acl::DeathCause::Overwritten,
+                    d.line,
+                )
+            })
             .collect()
     };
     assert_eq!(key(a), key(b));
