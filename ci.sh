@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI for the FlipTracker workspace.
 #
-#   ./ci.sh         # tier-1 verify + lint + docs
+#   ./ci.sh         # tier-1 verify + fmt + lint + docs
 #   ./ci.sh quick   # tier-1 verify only
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -156,6 +156,9 @@ echo "==> campaign benchmark (perfbench): builds against the public API, self-te
 # later in the benchmark run.
 cargo build --release --manifest-path perfbench/Cargo.toml
 cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "==> rustfmt (check only)"
+cargo fmt --all -- --check
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -14,16 +14,12 @@
 //! plan — property-tested — and analyzed shard reports merge exactly like
 //! plain ones.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use ftkr_inject::{
-    CampaignCounts, CampaignPlan, CampaignReport, FailPlan, FailSite, IndexRange, Outcome,
-};
+use ftkr_inject::{CampaignPlan, CampaignReport, FailPlan, Probe};
+use ftkr_ir::Module;
 use ftkr_patterns::{PatternKind, StreamingDetector};
-use ftkr_vm::{RunOutcome, RunResult, Vm, VmConfig, VmSnapshot};
+use ftkr_vm::{DecodedModule, FaultSpec, RunResult, Trace, Vm, VmSnapshot};
 
 use crate::session::{PlanError, Session};
 
@@ -118,6 +114,50 @@ impl AnalyzedCampaignReport {
     }
 }
 
+/// The analyzed executors' per-test probe: one streaming detector per
+/// faulty run, fresh on a cold run and forked from one primed over the
+/// clean prefix on a forked run (a cheap clone instead of re-streaming the
+/// prefix).  A test tallies its pattern instances and whether it had any.
+struct PatternProbe<'c> {
+    clean: &'c Trace,
+    primed: Option<StreamingDetector<'c>>,
+}
+
+impl Probe for PatternProbe<'_> {
+    type Tally = (PatternTally, u64);
+
+    fn execute(
+        &self,
+        vm: &Vm,
+        module: &Module,
+        decoded: &DecodedModule,
+        snapshot: Option<&VmSnapshot>,
+        fault: FaultSpec,
+    ) -> (RunResult, Self::Tally) {
+        let mut detector = match snapshot.and(self.primed.as_ref()) {
+            Some(primed) => primed.fork(fault),
+            None => StreamingDetector::new(self.clean, fault),
+        };
+        let result = match snapshot {
+            Some(snap) => {
+                vm.resume_with_visitors_decoded(module, decoded, snap, &mut [&mut detector])
+            }
+            None => vm.run_with_visitors_decoded(module, decoded, &mut [&mut detector]),
+        };
+        let mut tally = PatternTally::default();
+        let found = detector.into_patterns();
+        for p in &found {
+            tally.record(p.kind, 1);
+        }
+        let with_patterns = u64::from(!found.is_empty());
+        (result.expect("module verifies"), (tally, with_patterns))
+    }
+
+    fn merge(a: Self::Tally, b: Self::Tally) -> Self::Tally {
+        (a.0.merge(b.0), a.1 + b.1)
+    }
+}
+
 impl Session {
     /// Execute a campaign plan (or one shard of it) with streaming pattern
     /// analysis: each test's faulty run is consumed by the fused detector
@@ -144,20 +184,14 @@ impl Session {
     /// (bit-identical patterns, by the fork/cold equivalence), and a
     /// panicking verifier records [`Outcome::HarnessError`] and contributes
     /// no pattern instances.
+    ///
+    /// [`Outcome::HarnessError`]: ftkr_inject::Outcome::HarnessError
     pub fn run_plan_analyzed_chaos(
         &self,
         plan: &CampaignPlan,
         chaos: FailPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        let sites = self.sites(&plan.target, plan.class)?;
-        let fork = Session::fork_step(&sites);
-        let snapshot = if fork > 0 {
-            self.checkpoint_at(fork)
-        } else {
-            None
-        };
-        self.run_plan_analyzed_with(plan, snapshot.as_ref(), chaos)
+        self.run_analyzed(plan, chaos, true)
     }
 
     /// The cold-start reference executor of [`Session::run_plan_analyzed`]:
@@ -169,143 +203,39 @@ impl Session {
         &self,
         plan: &CampaignPlan,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        self.run_plan_analyzed_with(plan, None, FailPlan::none())
+        self.run_analyzed(plan, FailPlan::none(), false)
     }
 
-    fn run_plan_analyzed_with(
+    fn run_analyzed(
         &self,
         plan: &CampaignPlan,
-        forked: Option<&VmSnapshot>,
         chaos: FailPlan,
+        forked: bool,
     ) -> Result<AnalyzedCampaignReport, PlanError> {
-        let sites = self.sites(&plan.target, plan.class)?;
-        let sites: &[ftkr_inject::FaultSite] = sites.as_slice();
-        let clean = self.clean_trace();
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-        let campaign = self.campaign(plan.seed);
-        let max_steps = self.max_steps();
-        // Capture only Sync state in the worker closures (not the session).
-        let app = self.app();
-        let module = &app.module;
-        let decoded = self.decoded_module();
-        // One detector is primed over the clean prefix up to the fork; every
-        // test forks it (cheap clone) instead of re-streaming the prefix.
-        let primed = forked.map(|snap| {
-            StreamingDetector::primed(clean, snap.events_emitted() as usize, snap.num_locations())
-        });
-
-        // ONE streamed faulty run per test: the detector observes the events
-        // as they execute, and the run result classifies the outcome — the
-        // fault sequence is the campaign's own (`fault_for_index`), so the
-        // outcome tally is bit-identical to `Session::run_plan`.
-        let population = sites.len() as u64 * 64;
-        let (counts, patterns, tests_with_patterns) = if sites.is_empty() || shard.is_empty() {
-            (
-                ftkr_inject::CampaignCounts::default(),
-                PatternTally::default(),
-                0,
-            )
-        } else {
-            (shard.start..shard.end)
-                .into_par_iter()
-                .map(|index| {
-                    let fault = campaign.fault_for_index(sites, index);
-                    let config = || VmConfig {
-                        fault: Some(fault),
-                        max_steps,
-                        ..VmConfig::default()
-                    };
-                    // Phase 1 — execute the streamed faulty run inside the
-                    // panic perimeter.  `None` means the harness failed.
-                    let cold_exec = || -> Option<(RunResult, StreamingDetector)> {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut detector = StreamingDetector::new(clean, fault);
-                            let result = Vm::new(config())
-                                .run_with_visitors_decoded(module, decoded, &mut [&mut detector])
-                                .expect("module verifies");
-                            (result, detector)
-                        }))
-                        .ok()
-                    };
-                    let (executed, degraded) = match (&primed, forked) {
-                        (Some(p), Some(snap)) => {
-                            let from_fork = catch_unwind(AssertUnwindSafe(|| {
-                                chaos.trip(FailSite::RestoreCheckpoint, index);
-                                let mut detector = p.fork(fault);
-                                let result = Vm::new(config())
-                                    .resume_with_visitors_decoded(
-                                        module,
-                                        decoded,
-                                        snap,
-                                        &mut [&mut detector],
-                                    )
-                                    .expect("module verifies");
-                                (result, detector)
-                            }))
-                            .ok();
-                            match from_fork {
-                                Some(x) => (Some(x), false),
-                                // Restore failed: degrade to the cold path
-                                // with a fresh detector — bit-identical
-                                // patterns by the fork/cold equivalence.
-                                None => (cold_exec(), true),
-                            }
-                        }
-                        _ => (cold_exec(), false),
-                    };
-                    // Phase 2 — classify (the verifier gets its own
-                    // perimeter) and tally patterns.  A harness-errored test
-                    // contributes no pattern instances: its analysis cannot
-                    // be trusted, and the taint marks it for re-execution.
-                    let mut counts = CampaignCounts::default();
-                    let mut tally = PatternTally::default();
-                    let mut with_patterns = 0u64;
-                    match executed {
-                        None => counts.record(Outcome::HarnessError),
-                        Some((result, detector)) => {
-                            let outcome = match result.outcome {
-                                RunOutcome::Trapped(trap) => Outcome::crashed(trap),
-                                RunOutcome::Completed => catch_unwind(AssertUnwindSafe(|| {
-                                    chaos.trip(FailSite::Verifier, index);
-                                    if app.verify(&result) {
-                                        Outcome::VerificationSuccess
-                                    } else {
-                                        Outcome::VerificationFailed
-                                    }
-                                }))
-                                .unwrap_or(Outcome::HarnessError),
-                            };
-                            counts.record(outcome);
-                            if outcome != Outcome::HarnessError {
-                                let found = detector.into_patterns();
-                                for p in &found {
-                                    tally.record(p.kind, 1);
-                                }
-                                with_patterns = u64::from(!found.is_empty());
-                            }
-                        }
-                    }
-                    if degraded {
-                        counts.degraded += 1;
-                    }
-                    (counts, tally, with_patterns)
-                })
-                .reduce(
-                    || (CampaignCounts::default(), PatternTally::default(), 0),
-                    |a, b| (a.0.merge(b.0), a.1.merge(b.1), a.2 + b.2),
-                )
-        };
-
-        Ok(AnalyzedCampaignReport {
-            report: CampaignReport {
-                counts,
-                n_tests: if sites.is_empty() { 0 } else { shard.len() },
-                population,
-                seed: plan.seed,
-            },
-            patterns,
-            tests_with_patterns,
+        // Streamed runs align against the full clean trace: the sites come
+        // from it, never from a region-scoped re-run.
+        let sites = || self.sites(&plan.target, plan.class);
+        self.route(plan, forked, sites, |sites, shard, snapshot| {
+            let clean = self.clean_trace();
+            let probe = PatternProbe {
+                clean,
+                primed: snapshot.map(|snap| {
+                    StreamingDetector::primed(
+                        clean,
+                        snap.events_emitted() as usize,
+                        snap.num_locations(),
+                    )
+                }),
+            };
+            let (report, (patterns, tests_with_patterns)) = self
+                .campaign(plan.seed)
+                .with_chaos(chaos)
+                .run_range_probed(sites, shard, snapshot, &probe);
+            AnalyzedCampaignReport {
+                report,
+                patterns,
+                tests_with_patterns,
+            }
         })
     }
 }
@@ -387,6 +317,14 @@ mod tests {
         let mut cleaned = shaken.clone();
         cleaned.report.counts.degraded = 0;
         assert_eq!(cleaned, undisturbed);
+        // One perimeter, one schedule: the serial and batched routes
+        // degrade exactly the same tests.
+        assert_eq!(shaken.report, session.run_plan_chaos(&plan, chaos).unwrap());
+        let batched = plan.clone().with_batched();
+        assert_eq!(
+            shaken.report,
+            session.run_plan_chaos(&batched, chaos).unwrap()
+        );
     }
 
     #[test]
@@ -421,6 +359,17 @@ mod tests {
         assert_eq!(
             poisoned,
             session.run_plan_analyzed_chaos(&plan, chaos).unwrap()
+        );
+        // One perimeter, one schedule: the serial and batched routes poison
+        // exactly the same verdicts.
+        assert_eq!(
+            poisoned.report,
+            session.run_plan_chaos(&plan, chaos).unwrap()
+        );
+        let batched = plan.clone().with_batched();
+        assert_eq!(
+            poisoned.report,
+            session.run_plan_chaos(&batched, chaos).unwrap()
         );
     }
 

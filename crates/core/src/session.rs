@@ -521,13 +521,6 @@ impl Session {
         )
     }
 
-    /// The fork step of a site list: the earliest dynamic step any of its
-    /// faults can strike.  A checkpoint captured there is safe for every
-    /// test of the campaign, and as late as possible (maximum prefix saved).
-    pub(crate) fn fork_step(sites: &[FaultSite]) -> u64 {
-        sites.iter().map(|s| s.at_step).min().unwrap_or(0)
-    }
-
     // -- cache accounting --------------------------------------------------
 
     /// Approximate heap footprint of every cached artifact, in bytes: the
@@ -577,8 +570,7 @@ impl Session {
     /// phase, with the hang-detection step limit already set.
     pub fn campaign(&self, seed: u64) -> Campaign<'_, impl Fn(&RunResult) -> bool + Sync + '_> {
         let app = &self.app;
-        Campaign::new(&app.module, move |r| app.verify(r))
-            .with_decoded(self.decoded_module())
+        Campaign::new(&app.module, self.decoded_module(), move |r| app.verify(r))
             .with_max_steps(self.max_steps())
             .with_seed(seed)
     }
@@ -647,42 +639,23 @@ impl Session {
         plan: &CampaignPlan,
         chaos: FailPlan,
     ) -> Result<CampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        self.reject_spmd(plan)?;
-        if plan.batched {
-            // Batched lockstep mode sweeps every sampled fault against the
-            // clean trace, so the full reference run must be materialized —
-            // the windowed `plan_sites` shortcut does not apply here.
-            let clean = self.clean_run();
-            let ctx = BatchContext::new(clean);
-            let sites = self.plan_sites(plan)?;
-            let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-            let fork = Self::fork_step(&sites);
-            let snapshot = if fork > 0 {
-                self.checkpoint_at(fork)
-            } else {
-                None
-            };
-            return Ok(self
-                .campaign(plan.seed)
-                .with_chaos(chaos)
-                .run_range_batched(&sites, shard, &ctx, snapshot.as_ref()));
-        }
-        let sites = self.plan_sites(plan)?;
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-        let fork = Self::fork_step(&sites);
-        if fork > 0 {
-            if let Some(snapshot) = self.checkpoint_at(fork) {
-                return Ok(self
-                    .campaign(plan.seed)
-                    .with_chaos(chaos)
-                    .run_range_from(&sites, shard, &snapshot));
+        let sites = || {
+            if plan.batched {
+                // Batched lanes sweep against the full clean trace: it is
+                // materialized first, and the sites come from it.
+                let _ = self.clean_run();
             }
-        }
-        Ok(self
-            .campaign(plan.seed)
-            .with_chaos(chaos)
-            .run_range(&sites, shard))
+            self.plan_sites(plan)
+        };
+        self.route(plan, true, sites, |sites, shard, snapshot| {
+            let campaign = self.campaign(plan.seed).with_chaos(chaos);
+            if plan.batched {
+                let ctx = BatchContext::new(self.clean_run());
+                campaign.run_range_batched(sites, shard, &ctx, snapshot)
+            } else {
+                campaign.run_range_probed(sites, shard, snapshot, &()).0
+            }
+        })
     }
 
     /// Execute a campaign plan with every faulty run cold-started from
@@ -693,21 +666,41 @@ impl Session {
     /// here: this entry point is the serial reference the batched lockstep
     /// executor is diffed against.
     pub fn run_plan_cold(&self, plan: &CampaignPlan) -> Result<CampaignReport, PlanError> {
-        self.check_plan(plan)?;
-        self.reject_spmd(plan)?;
-        let sites = self.plan_sites(plan)?;
-        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
-        Ok(self.campaign(plan.seed).run_range(&sites, shard))
+        let sites = || self.plan_sites(plan);
+        self.route(plan, false, sites, |sites, shard, _| {
+            self.campaign(plan.seed).run_range(sites, shard)
+        })
     }
 
-    /// The single-VM executors cannot honour multi-rank or message-fault
-    /// plans; refuse with a typed error instead of silently running the
-    /// wrong campaign at `ranks = 1`.
-    fn reject_spmd(&self, plan: &CampaignPlan) -> Result<(), PlanError> {
+    /// The one router of the single-VM plan executors: validate the plan,
+    /// resolve its sites with `sites`, intersect its shard, and — when
+    /// `forked` — capture the checkpoint at the fork step, then hand all
+    /// three to `run`.
+    pub(crate) fn route<T>(
+        &self,
+        plan: &CampaignPlan,
+        forked: bool,
+        sites: impl FnOnce() -> Result<Arc<Vec<FaultSite>>, PlanError>,
+        run: impl FnOnce(&[FaultSite], IndexRange, Option<&VmSnapshot>) -> T,
+    ) -> Result<T, PlanError> {
+        self.check_plan(plan)?;
+        // The single-VM executors cannot honour multi-rank or message-fault
+        // plans; refuse with a typed error instead of silently running the
+        // wrong campaign at `ranks = 1`.
         if plan.is_spmd() {
             return Err(PlanError::SpmdPlan { ranks: plan.ranks });
         }
-        Ok(())
+        let sites = sites()?;
+        let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
+        // The earliest step any fault can strike: a checkpoint there is safe
+        // for every test, and as late as possible (maximum prefix saved).
+        let fork = sites.iter().map(|s| s.at_step).min().unwrap_or(0);
+        let snapshot = if forked && fork > 0 {
+            self.checkpoint_at(fork)
+        } else {
+            None
+        };
+        Ok(run(&sites, shard, snapshot.as_ref()))
     }
 
     // -- multi-rank (SPMD) campaigns --------------------------------------
@@ -1194,6 +1187,14 @@ mod tests {
             session.run_plan_cold(&plan),
             Err(PlanError::SpmdPlan { ranks: 4 })
         ));
+        assert!(matches!(
+            session.run_plan_analyzed(&plan),
+            Err(PlanError::SpmdPlan { ranks: 4 })
+        ));
+        assert!(matches!(
+            session.run_plan_analyzed_cold(&plan),
+            Err(PlanError::SpmdPlan { ranks: 4 })
+        ));
         // ...and the SPMD executor runs it: every test is a 4-rank job.
         let report = session.run_plan_spmd(&plan).unwrap();
         assert_eq!(report.ranks, 4);
@@ -1234,6 +1235,14 @@ mod tests {
         let serial = plan.clone().with_ranks(1, RankTarget::Sweep);
         assert!(matches!(
             session.run_plan(&serial),
+            Err(PlanError::SpmdPlan { ranks: 1 })
+        ));
+        assert!(matches!(
+            session.run_plan_analyzed(&serial),
+            Err(PlanError::SpmdPlan { ranks: 1 })
+        ));
+        assert!(matches!(
+            session.run_plan_analyzed_cold(&serial),
             Err(PlanError::SpmdPlan { ranks: 1 })
         ));
     }

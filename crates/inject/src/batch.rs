@@ -39,14 +39,11 @@
 //! never a wrong verdict.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use ftkr_vm::{EventKind, FaultSpec, FaultTarget, LocationId, RunResult, Trace, Value, VmSnapshot};
+use ftkr_vm::{EventKind, FaultTarget, LocationId, RunResult, Trace, Value, VmSnapshot};
 
-use crate::campaign::{sample_site_fault, Campaign, CampaignReport, TestOutcome};
-use crate::chaos::FailSite;
-use crate::outcome::Outcome;
+use crate::campaign::{sample_site_fault, Campaign, CampaignReport};
 use crate::plan::IndexRange;
 use crate::sites::FaultSite;
 
@@ -463,9 +460,7 @@ where
         snapshot: Option<&VmSnapshot>,
     ) -> CampaignReport {
         if sites.is_empty() || range.is_empty() {
-            return self.run_range_by(sites, range, |_, _| {
-                unreachable!("empty campaigns run no tests")
-            });
+            return self.run_range(sites, range);
         }
         assert!(
             self.max_steps >= ctx.clean.steps,
@@ -474,106 +469,38 @@ where
             ctx.clean.steps
         );
         let scan = BatchScan::sweep(self.seed, sites, range, ctx);
-        // Every `MaskedClean` lane synthesizes the *same* run result — the
-        // clean run, byte for byte — so its verifier verdict is computed once
-        // and shared across lanes (the verifier is a pure function of the run
-        // result; per-index chaos fail points still fire per lane).
-        let clean_pass: OnceLock<bool> = OnceLock::new();
-        self.run_range_by(sites, range, |index, fault| {
-            if let Some(snap) = snapshot {
-                // Parity with `run_range_from`: every sampled fault — masked
-                // lanes included — must lie at or after the checkpoint.
-                assert!(
-                    fault.at_step >= snap.step(),
-                    "fault at step {} precedes the checkpoint at step {}: \
-                     it cannot strike in a forked run",
-                    fault.at_step,
-                    snap.step()
-                );
-            }
-            match *scan.lane(index) {
-                LaneState::Diverged { .. } => match snapshot {
-                    Some(snap) => self.test_forked(Some(index), snap, fault),
-                    None => self.test_cold(index, fault),
-                },
-                LaneState::MaskedClean => {
-                    self.test_masked(ctx, index, fault, snapshot, None, &clean_pass)
-                }
-                LaneState::MaskedPoke { addr, value } => self.test_masked(
-                    ctx,
-                    index,
-                    fault,
-                    snapshot,
-                    Some((addr, value)),
-                    &clean_pass,
-                ),
-            }
-        })
-    }
-
-    /// Classify a masked lane from a synthesized run result, mirroring the
-    /// executor the lane would otherwise have used: with a snapshot the
-    /// restore fail point fires per index (and a tripped lane degrades to
-    /// the cold executor with the same bookkeeping as a failed real
-    /// restore); without one the classification is the cold path's.  A lane
-    /// without a poke synthesizes the clean run itself, so its verifier
-    /// verdict comes from the shared `clean_pass` cell instead of a fresh
-    /// memory clone per lane.
-    fn test_masked(
-        &self,
-        ctx: &BatchContext<'_>,
-        index: u64,
-        fault: FaultSpec,
-        snapshot: Option<&VmSnapshot>,
-        poke: Option<(u64, Value)>,
-        clean_pass: &OnceLock<bool>,
-    ) -> TestOutcome {
-        let synthesize = |poke: Option<(u64, Value)>| {
+        // The verifier's verdict on a lane's synthesized run: the clean
+        // result with at most one memory cell re-flipped.
+        let verdict = |poke: Option<(u64, Value)>| {
             let mut memory = ctx.clean.memory.clone();
             if let Some((addr, value)) = poke {
                 memory.poke(addr, value);
             }
-            RunResult {
+            (self.verify)(&RunResult {
                 outcome: ctx.clean.outcome,
                 steps: ctx.clean.steps,
                 outputs: ctx.clean.outputs.clone(),
                 memory,
                 trace: None,
+            })
+        };
+        // Every `MaskedClean` lane synthesizes the *same* run result — the
+        // clean run, byte for byte — so its verdict is computed once and
+        // shared across lanes (the verifier is a pure function of the run
+        // result; per-index chaos fail points still fire per lane).
+        let clean_pass: OnceLock<bool> = OnceLock::new();
+        let run_lane = |index, fault| match *scan.lane(index) {
+            LaneState::Diverged { .. } => self.test(&(), Some(index), snapshot, fault),
+            LaneState::MaskedClean => {
+                let pass = || *clean_pass.get_or_init(|| verdict(None));
+                (self.test_synthesized(index, snapshot, fault, pass), ())
+            }
+            LaneState::MaskedPoke { addr, value } => {
+                let pass = || verdict(Some((addr, value)));
+                (self.test_synthesized(index, snapshot, fault, pass), ())
             }
         };
-        if snapshot.is_some()
-            && catch_unwind(AssertUnwindSafe(|| {
-                self.chaos.trip(FailSite::RestoreCheckpoint, index);
-            }))
-            .is_err()
-        {
-            let outcome = match self.cold_result(fault) {
-                Some(result) => self.classify(result, Some(index)),
-                None => Outcome::HarnessError,
-            };
-            return TestOutcome {
-                outcome,
-                degraded: true,
-            };
-        }
-        // Mirrors `Campaign::classify` on the synthesized result, whose
-        // outcome is always `Completed` (the clean run completed): the
-        // verifier fail point fires per index, and a panicking verifier is
-        // contained as a harness error.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.chaos.trip(FailSite::Verifier, index);
-            let pass = match poke {
-                Some(_) => (self.verify)(&synthesize(poke)),
-                None => *clean_pass.get_or_init(|| (self.verify)(&synthesize(None))),
-            };
-            if pass {
-                Outcome::VerificationSuccess
-            } else {
-                Outcome::VerificationFailed
-            }
-        }))
-        .unwrap_or(Outcome::HarnessError);
-        outcome.into()
+        self.run_tests(sites, range, |(), ()| (), run_lane).0
     }
 }
 
@@ -585,7 +512,7 @@ mod tests {
     use crate::sites::{input_sites, internal_sites};
     use ftkr_ir::prelude::*;
     use ftkr_ir::Global;
-    use ftkr_vm::{Location, Vm, VmConfig};
+    use ftkr_vm::{DecodedModule, Location, Vm, VmConfig};
 
     /// The sum16 program of the campaign tests: most internal-site lanes
     /// diverge (every intermediate feeds the next iteration).
@@ -655,10 +582,11 @@ mod tests {
     #[test]
     fn batched_cold_campaign_is_bit_identical_to_serial() {
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_sum16)
+        let campaign = Campaign::new(&m, &decoded, verify_sum16)
             .with_seed(21)
             .with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
@@ -670,10 +598,11 @@ mod tests {
     #[test]
     fn masked_lanes_are_synthesized_and_still_bit_identical() {
         let m = deadstore();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_deadstore)
+        let campaign = Campaign::new(&m, &decoded, verify_deadstore)
             .with_seed(5)
             .with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
@@ -697,12 +626,13 @@ mod tests {
     #[test]
     fn surviving_memory_cell_lanes_reconstruct_the_faulty_image() {
         let m = deadstore();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         // Input faults on the never-touched cell `out[1]` (addr 1): every
         // lane survives the sweep as `MaskedPoke`, and the bit-exact
         // verifier fails exactly as it does for the real executions.
         let sites = input_sites(0, &[(Location::mem(1), Value::F(0.0))]);
-        let campaign = Campaign::new(&m, verify_deadstore)
+        let campaign = Campaign::new(&m, &decoded, verify_deadstore)
             .with_seed(7)
             .with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
@@ -722,6 +652,7 @@ mod tests {
     #[test]
     fn batched_forked_campaign_matches_run_range_from() {
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let window_start = trace.len() / 2;
@@ -731,7 +662,7 @@ mod tests {
             .snapshot_at(&m, fork)
             .unwrap()
             .expect("fork step is mid-run");
-        let campaign = Campaign::new(&m, verify_sum16)
+        let campaign = Campaign::new(&m, &decoded, verify_sum16)
             .with_seed(99)
             .with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
@@ -747,10 +678,11 @@ mod tests {
     #[test]
     fn batched_shards_merge_bit_identically_to_the_monolithic_report() {
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_sum16)
+        let campaign = Campaign::new(&m, &decoded, verify_sum16)
             .with_seed(1234)
             .with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
@@ -772,6 +704,7 @@ mod tests {
     #[test]
     fn chaos_restore_failures_degrade_masked_lanes_like_real_forks() {
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let window_start = trace.len() / 2;
@@ -787,12 +720,12 @@ mod tests {
             restore_fail: 512,
             ..FailPlan::uniform(3, 0)
         };
-        let reference = Campaign::new(&m, verify_sum16)
+        let reference = Campaign::new(&m, &decoded, verify_sum16)
             .with_seed(11)
             .with_max_steps(max_steps)
             .with_chaos(chaos)
             .run_range_from(&sites, IndexRange::full(48), &snapshot);
-        let batched = Campaign::new(&m, verify_sum16)
+        let batched = Campaign::new(&m, &decoded, verify_sum16)
             .with_seed(11)
             .with_max_steps(max_steps)
             .with_chaos(chaos)
@@ -805,6 +738,7 @@ mod tests {
     #[test]
     fn chaos_verifier_panics_taint_batched_and_serial_identically() {
         let m = deadstore();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
@@ -812,7 +746,7 @@ mod tests {
             verifier_panic: 512,
             ..FailPlan::uniform(77, 0)
         };
-        let campaign = Campaign::new(&m, verify_deadstore)
+        let campaign = Campaign::new(&m, &decoded, verify_deadstore)
             .with_seed(5)
             .with_max_steps(hang_budget_for(&clean))
             .with_chaos(chaos);
@@ -827,6 +761,7 @@ mod tests {
     #[should_panic(expected = "precedes the checkpoint")]
     fn batched_forked_mode_rejects_faults_before_the_checkpoint() {
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
@@ -834,7 +769,8 @@ mod tests {
             .snapshot_at(&m, trace.len() as u64 / 2)
             .unwrap()
             .unwrap();
-        let campaign = Campaign::new(&m, verify_sum16).with_max_steps(hang_budget_for(&clean));
+        let campaign =
+            Campaign::new(&m, &decoded, verify_sum16).with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
         // Whole-trace sites sample faults inside the restored prefix; the
         // batched forked mode must reject them as loudly as the serial one.
@@ -844,8 +780,10 @@ mod tests {
     #[test]
     fn empty_sites_yield_an_empty_report_without_sweeping() {
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
-        let campaign = Campaign::new(&m, verify_sum16).with_max_steps(hang_budget_for(&clean));
+        let campaign =
+            Campaign::new(&m, &decoded, verify_sum16).with_max_steps(hang_budget_for(&clean));
         let ctx = BatchContext::new(&clean);
         let report = campaign.run_range_batched(&[], IndexRange::full(100), &ctx, None);
         assert_eq!(report.n_tests, 0);
@@ -865,13 +803,14 @@ mod tests {
         // `skip_markers` changes event *indexing* but not dynamic steps; the
         // sweep works in steps, so the verdicts (and the report) agree.
         let m = sum16();
+        let decoded = DecodedModule::decode(&m);
         let full = clean_run(&m);
         let elided = Vm::new(VmConfig::tracing().without_markers())
             .run(&m)
             .unwrap();
         let trace = full.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify_sum16)
+        let campaign = Campaign::new(&m, &decoded, verify_sum16)
             .with_seed(31)
             .with_max_steps(hang_budget_for(&full));
         let via_full = campaign.run_range_batched(

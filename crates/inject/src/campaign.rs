@@ -23,7 +23,6 @@ use crate::chaos::{FailPlan, FailSite};
 use crate::outcome::{CampaignCounts, Outcome};
 use crate::plan::IndexRange;
 use crate::sites::FaultSite;
-use crate::stats::{sample_size, Confidence};
 
 /// The seed campaigns sample with unless the caller overrides it.
 pub const DEFAULT_SEED: u64 = 0xF11B_7EAC;
@@ -177,6 +176,56 @@ pub fn sample_site_fault(seed: u64, sites: &[FaultSite], index: u64) -> FaultSpe
     site.with_bit(bit)
 }
 
+/// A per-test analysis that rides along a campaign's faulty runs — the hook
+/// the analyzed executors use to stream pattern detection through the exact
+/// tests of the campaign.  The probe executes each faulty run itself, so
+/// the plain campaign (`()`) keeps the VM's untraced dispatch loop and only
+/// a probe that attaches visitors pays for recording events.
+///
+/// Each run executes inside the campaign's panic perimeter, and a test
+/// classified [`Outcome::HarnessError`] contributes the default tally: its
+/// analysis cannot be trusted, and the taint marks it for re-execution.
+pub trait Probe: Sync {
+    /// What one test contributes, and the sum over a shard.
+    type Tally: Default + Send;
+
+    /// Execute the faulty run of `fault` under `vm`: from program entry
+    /// when `snapshot` is `None`, else resumed from the checkpoint.
+    fn execute(
+        &self,
+        vm: &Vm,
+        module: &Module,
+        decoded: &DecodedModule,
+        snapshot: Option<&VmSnapshot>,
+        fault: FaultSpec,
+    ) -> (RunResult, Self::Tally);
+
+    /// Combine the tallies of two disjoint sets of tests.
+    fn merge(a: Self::Tally, b: Self::Tally) -> Self::Tally;
+}
+
+/// The plain campaign: untraced runs, nothing to tally.
+impl Probe for () {
+    type Tally = ();
+
+    fn execute(
+        &self,
+        vm: &Vm,
+        module: &Module,
+        decoded: &DecodedModule,
+        snapshot: Option<&VmSnapshot>,
+        _fault: FaultSpec,
+    ) -> (RunResult, ()) {
+        let result = match snapshot {
+            Some(snap) => vm.resume_from_decoded(module, decoded, snap),
+            None => vm.run_decoded(module, decoded),
+        };
+        (result.expect("campaign module must verify"), ())
+    }
+
+    fn merge((): (), (): ()) {}
+}
+
 /// A fault-injection campaign against one program.
 ///
 /// The verifier closure plays the role of the application's verification
@@ -188,40 +237,31 @@ pub struct Campaign<'m, F>
 where
     F: Fn(&RunResult) -> bool + Sync,
 {
-    pub(crate) module: &'m Module,
+    module: &'m Module,
+    decoded: &'m DecodedModule,
     pub(crate) verify: F,
     pub(crate) max_steps: u64,
     pub(crate) seed: u64,
-    pub(crate) chaos: FailPlan,
-    pub(crate) decoded: Option<&'m DecodedModule>,
+    chaos: FailPlan,
 }
 
 impl<'m, F> Campaign<'m, F>
 where
     F: Fn(&RunResult) -> bool + Sync,
 {
-    /// Create a campaign for `module` judged by `verify`.
-    pub fn new(module: &'m Module, verify: F) -> Self {
+    /// Create a campaign for `module` judged by `verify`.  Every faulty run
+    /// executes in the VM's decoded dispatch loop ([`Vm::run_decoded`] /
+    /// [`Vm::resume_from_decoded`]); `decoded` must be
+    /// [`DecodedModule::decode`] of `module`.
+    pub fn new(module: &'m Module, decoded: &'m DecodedModule, verify: F) -> Self {
         Campaign {
             module,
+            decoded,
             verify,
             max_steps: VmConfig::default().max_steps,
             seed: DEFAULT_SEED,
             chaos: FailPlan::none(),
-            decoded: None,
         }
-    }
-
-    /// Execute every faulty run in the VM's decoded dispatch loop
-    /// ([`Vm::run_decoded`] / [`Vm::resume_from_decoded`]) instead of the
-    /// legacy per-`Op` interpreter, which campaigns without decoded tables
-    /// keep running on as the reference.  `decoded` must be
-    /// [`DecodedModule::decode`] of this campaign's module.  The decoded loop
-    /// is bit-identical in every observable, so reports are unchanged — only
-    /// faster.
-    pub fn with_decoded(mut self, decoded: &'m DecodedModule) -> Self {
-        self.decoded = Some(decoded);
-        self
     }
 
     /// Set the dynamic step limit used for faulty runs (hang detection).
@@ -245,88 +285,32 @@ where
         self
     }
 
-    pub(crate) fn config(&self, fault: FaultSpec) -> VmConfig {
-        VmConfig {
+    /// Run `body` inside the panic perimeter.  `None` means the harness
+    /// failed, not the program.
+    fn perimeter<T>(body: impl FnOnce() -> T) -> Option<T> {
+        catch_unwind(AssertUnwindSafe(body)).ok()
+    }
+
+    /// Fire `site`'s fail point for campaign test `index` (single tests
+    /// outside a campaign, `None`, never fail).
+    fn trip(&self, site: FailSite, index: Option<u64>) {
+        if let Some(i) = index {
+            self.chaos.trip(site, i);
+        }
+    }
+
+    fn vm(&self, fault: FaultSpec) -> Vm {
+        Vm::new(VmConfig {
             fault: Some(fault),
             max_steps: self.max_steps,
             ..VmConfig::default()
-        }
+        })
     }
 
-    /// Execute a cold (from-entry) faulty run inside the panic perimeter.
-    /// `None` means the harness failed, not the program.
-    pub(crate) fn cold_result(&self, fault: FaultSpec) -> Option<RunResult> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let vm = Vm::new(self.config(fault));
-            match self.decoded {
-                Some(decoded) => vm.run_decoded(self.module, decoded),
-                None => vm.run(self.module),
-            }
-            .expect("campaign module must verify")
-        }))
-        .ok()
-    }
-
-    /// Restore `snapshot` and execute the faulty suffix inside the panic
-    /// perimeter.  `None` means the restore (or the resumed execution)
-    /// failed at the harness level; the caller degrades to the cold path.
-    pub(crate) fn forked_result(
-        &self,
-        snapshot: &VmSnapshot,
-        fault: FaultSpec,
-        ordinal: Option<u64>,
-    ) -> Option<RunResult> {
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(i) = ordinal {
-                self.chaos.trip(FailSite::RestoreCheckpoint, i);
-            }
-            let vm = Vm::new(self.config(fault));
-            match self.decoded {
-                Some(decoded) => vm.resume_from_decoded(self.module, decoded, snapshot),
-                None => vm.resume_from(self.module, snapshot),
-            }
-            .expect("campaign module must verify")
-        }))
-        .ok()
-    }
-
-    /// Classify a finished run: traps map to their [`CrashKind`]
-    /// (`TrapKind::StepLimit` is the hang bucket), completed runs are judged
-    /// by the verifier — itself inside the panic perimeter, so a poisoned
-    /// verifier yields [`Outcome::HarnessError`] instead of killing the
-    /// worker.
-    pub(crate) fn classify(&self, result: RunResult, ordinal: Option<u64>) -> Outcome {
-        match result.outcome {
-            RunOutcome::Trapped(trap) => Outcome::crashed(trap),
-            RunOutcome::Completed => catch_unwind(AssertUnwindSafe(|| {
-                if let Some(i) = ordinal {
-                    self.chaos.trip(FailSite::Verifier, i);
-                }
-                if (self.verify)(&result) {
-                    Outcome::VerificationSuccess
-                } else {
-                    Outcome::VerificationFailed
-                }
-            }))
-            .unwrap_or(Outcome::HarnessError),
-        }
-    }
-
-    /// One cold test at a campaign index (chaos fires per index).
-    pub(crate) fn test_cold(&self, index: u64, fault: FaultSpec) -> TestOutcome {
-        match self.cold_result(fault) {
-            Some(result) => self.classify(result, Some(index)).into(),
-            None => Outcome::HarnessError.into(),
-        }
-    }
-
-    /// One forked test: restore-or-degrade, then classify.
-    pub(crate) fn test_forked(
-        &self,
-        ordinal: Option<u64>,
-        snapshot: &VmSnapshot,
-        fault: FaultSpec,
-    ) -> TestOutcome {
+    /// A fault before the checkpoint would have to strike inside the
+    /// restored prefix, which a forked run never executes.  Checked outside
+    /// the perimeter, so it panics loudly instead of degrading the test.
+    fn check_fork(snapshot: &VmSnapshot, fault: FaultSpec) {
         assert!(
             fault.at_step >= snapshot.step(),
             "fault at step {} precedes the checkpoint at step {}: \
@@ -334,21 +318,93 @@ where
             fault.at_step,
             snapshot.step()
         );
-        match self.forked_result(snapshot, fault, ordinal) {
-            Some(result) => self.classify(result, ordinal).into(),
-            // The fork path failed at the harness level: fall back to the
-            // cold executor (bit-identical classification, just slower) and
-            // record the degradation.
-            None => {
-                let outcome = match self.cold_result(fault) {
-                    Some(result) => self.classify(result, ordinal),
-                    None => Outcome::HarnessError,
-                };
-                TestOutcome {
-                    outcome,
+    }
+
+    /// The one per-test procedure every route runs: fork from `snapshot`
+    /// (restore fail point first) or run cold, degrade a failed fork to the
+    /// cold executor, classify, and keep `probe`'s tally unless the harness
+    /// failed.
+    pub(crate) fn test<P: Probe>(
+        &self,
+        probe: &P,
+        index: Option<u64>,
+        snapshot: Option<&VmSnapshot>,
+        fault: FaultSpec,
+    ) -> (TestOutcome, P::Tally) {
+        let execute =
+            |snapshot| probe.execute(&self.vm(fault), self.module, self.decoded, snapshot, fault);
+        let forked = snapshot.map(|snap| {
+            Self::check_fork(snap, fault);
+            Self::perimeter(|| {
+                self.trip(FailSite::RestoreCheckpoint, index);
+                execute(Some(snap))
+            })
+        });
+        // A fork that failed at the harness level falls back to the cold
+        // executor (bit-identical classification, just slower) and records
+        // the degradation.
+        let degraded = matches!(forked, Some(None));
+        let run = forked
+            .flatten()
+            .or_else(|| Self::perimeter(|| execute(None)));
+        let Some((result, tally)) = run else {
+            let outcome = Outcome::HarnessError;
+            return (TestOutcome { outcome, degraded }, P::Tally::default());
+        };
+        let outcome = self.judge(result.outcome, index, || (self.verify)(&result));
+        let tally = if outcome == Outcome::HarnessError {
+            P::Tally::default()
+        } else {
+            tally
+        };
+        (TestOutcome { outcome, degraded }, tally)
+    }
+
+    /// A test whose completed run is known without executing it (a masked
+    /// batched lane): with a snapshot, the restore fail point fires and
+    /// degrades exactly as for a real fork, and `verdict` stands in for the
+    /// verifier on the synthesized result.
+    pub(crate) fn test_synthesized(
+        &self,
+        index: u64,
+        snapshot: Option<&VmSnapshot>,
+        fault: FaultSpec,
+        verdict: impl FnOnce() -> bool,
+    ) -> TestOutcome {
+        if let Some(snap) = snapshot {
+            Self::check_fork(snap, fault);
+            let restore = || self.trip(FailSite::RestoreCheckpoint, Some(index));
+            if Self::perimeter(restore).is_none() {
+                let (cold, ()) = self.test(&(), Some(index), None, fault);
+                return TestOutcome {
                     degraded: true,
-                }
+                    ..cold
+                };
             }
+        }
+        self.judge(RunOutcome::Completed, Some(index), verdict)
+            .into()
+    }
+
+    /// Classify a run by how it ended: traps map to their [`CrashKind`]
+    /// (`TrapKind::StepLimit` is the hang bucket), and completed runs are
+    /// judged by `pass` — itself inside the panic perimeter, so a
+    /// poisoned verifier yields [`Outcome::HarnessError`] instead of
+    /// killing the worker.
+    ///
+    /// [`CrashKind`]: crate::CrashKind
+    fn judge(&self, end: RunOutcome, index: Option<u64>, pass: impl FnOnce() -> bool) -> Outcome {
+        match end {
+            RunOutcome::Trapped(trap) => Outcome::crashed(trap),
+            RunOutcome::Completed => Self::perimeter(|| {
+                self.trip(FailSite::Verifier, index);
+                if pass() {
+                    Outcome::VerificationSuccess
+                } else {
+                    Outcome::VerificationFailed
+                }
+            })
+            .unwrap_or(Outcome::HarnessError),
         }
     }
 
@@ -356,10 +412,7 @@ where
     /// verifier, a harness bug) are isolated and classify as
     /// [`Outcome::HarnessError`].
     pub fn run_one(&self, fault: FaultSpec) -> Outcome {
-        match self.cold_result(fault) {
-            Some(result) => self.classify(result, None),
-            None => Outcome::HarnessError,
-        }
+        self.test(&(), None, None, fault).0.outcome
     }
 
     /// Run a single faulty run forked from a checkpoint and classify it —
@@ -379,7 +432,7 @@ where
     /// fork-point campaigns honest; callers must fork only from checkpoints
     /// at or before their site window.
     pub fn run_one_from(&self, snapshot: &VmSnapshot, fault: FaultSpec) -> TestOutcome {
-        self.test_forked(None, snapshot, fault)
+        self.test(&(), None, Some(snapshot), fault).0
     }
 
     /// The fault injected by test `index` of a campaign: sampled uniformly
@@ -405,7 +458,7 @@ where
     /// Merging the reports of any partition of `[0, n_tests)` with
     /// [`CampaignReport::merge`] is bit-identical to [`Campaign::run`].
     pub fn run_range(&self, sites: &[FaultSite], range: IndexRange) -> CampaignReport {
-        self.run_range_by(sites, range, |index, fault| self.test_cold(index, fault))
+        self.run_range_probed(sites, range, None, &()).0
     }
 
     /// Run one index-range shard of a campaign with every test forked from
@@ -426,67 +479,58 @@ where
         range: IndexRange,
         snapshot: &VmSnapshot,
     ) -> CampaignReport {
-        self.run_range_by(sites, range, |index, fault| {
-            self.test_forked(Some(index), snapshot, fault)
-        })
+        self.run_range_probed(sites, range, Some(snapshot), &()).0
     }
 
-    /// Like [`Campaign::run_range`], but each test is executed and classified
-    /// by `runner` instead of the built-in untraced run — the hook campaign
-    /// executors use to ride analyses (e.g. streaming pattern detection)
-    /// along the exact fault sequence of the campaign.  The runner receives
-    /// the campaign index of each test (fail-point schedules key on it) and
-    /// reports harness bookkeeping via [`TestOutcome`].  Sampling, sharding
-    /// and report assembly are identical, so a `runner` that classifies like
-    /// [`Campaign::run_one`] produces a bit-identical [`CampaignReport`].
-    pub fn run_range_by(
+    /// [`Campaign::run_range`] (or, with a snapshot,
+    /// [`Campaign::run_range_from`]) with `probe` riding along every test:
+    /// the report is the plain one, bit for bit, and the probe's tallies of
+    /// every test are merged beside it.
+    ///
+    /// # Panics
+    /// Panics (per test) when a sampled fault precedes the checkpoint.
+    pub fn run_range_probed<P: Probe>(
         &self,
         sites: &[FaultSite],
         range: IndexRange,
-        runner: impl Fn(u64, FaultSpec) -> TestOutcome + Sync,
-    ) -> CampaignReport {
-        let population = sites.len() as u64 * 64;
-        if sites.is_empty() || range.is_empty() {
-            return CampaignReport {
-                counts: CampaignCounts::default(),
-                n_tests: 0,
-                population,
-                seed: self.seed,
-            };
-        }
-        let counts = (range.start..range.end)
-            .into_par_iter()
-            .map(|index| {
-                let mut c = CampaignCounts::default();
-                let test = runner(index, self.fault_for_index(sites, index));
-                c.record(test.outcome);
-                if test.degraded {
-                    c.degraded += 1;
-                }
-                c
-            })
-            .reduce(CampaignCounts::default, CampaignCounts::merge);
-
-        CampaignReport {
-            counts,
-            n_tests: range.len(),
-            population,
-            seed: self.seed,
-        }
+        snapshot: Option<&VmSnapshot>,
+        probe: &P,
+    ) -> (CampaignReport, P::Tally) {
+        self.run_tests(sites, range, P::merge, |index, fault| {
+            self.test(probe, Some(index), snapshot, fault)
+        })
     }
 
-    /// Run a campaign sized by the statistical model: the number of tests is
-    /// [`sample_size`] of the site population at the given confidence and
-    /// margin of error.
-    pub fn run_sized(
+    /// Sampling, the parallel reduce and report assembly shared by every
+    /// range executor; `run_test` executes and classifies one test.
+    pub(crate) fn run_tests<T: Default + Send>(
         &self,
         sites: &[FaultSite],
-        confidence: Confidence,
-        margin: f64,
-    ) -> CampaignReport {
-        let population = sites.len() as u64 * 64;
-        let n = sample_size(population, confidence, margin);
-        self.run(sites, n)
+        range: IndexRange,
+        merge: impl Fn(T, T) -> T + Sync,
+        run_test: impl Fn(u64, FaultSpec) -> (TestOutcome, T) + Sync,
+    ) -> (CampaignReport, T) {
+        let (counts, tally) = if sites.is_empty() || range.is_empty() {
+            Default::default()
+        } else {
+            (range.start..range.end)
+                .into_par_iter()
+                .map(|index| {
+                    let (test, tally) = run_test(index, self.fault_for_index(sites, index));
+                    let mut counts = CampaignCounts::default();
+                    counts.record(test.outcome);
+                    counts.degraded += u64::from(test.degraded);
+                    (counts, tally)
+                })
+                .reduce(Default::default, |a, b| (a.0.merge(b.0), merge(a.1, b.1)))
+        };
+        let report = CampaignReport {
+            counts,
+            n_tests: if sites.is_empty() { 0 } else { range.len() },
+            population: sites.len() as u64 * 64,
+            seed: self.seed,
+        };
+        (report, tally)
     }
 }
 
@@ -494,8 +538,10 @@ where
 mod tests {
     use super::*;
     use crate::sites::{input_sites, internal_sites};
+    use crate::stats::{sample_size, Confidence};
     use ftkr_ir::prelude::*;
     use ftkr_ir::Global;
+    use ftkr_vm::{EventCtx, TraceVisitor, WalkEnd};
 
     /// A small program with a verification phase: it sums 1.0 sixteen times
     /// into a global and "verifies" that the result is within 5% of 16.
@@ -543,11 +589,12 @@ mod tests {
     #[test]
     fn campaign_over_internal_sites_produces_mixed_outcomes() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         assert!(!sites.is_empty());
-        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+        let campaign = Campaign::new(&m, &decoded, verify).with_max_steps(hang_budget_for(&clean));
         let report = campaign.run(&sites, 200);
         assert_eq!(report.counts.total(), 200);
         assert_eq!(report.population, sites.len() as u64 * 64);
@@ -580,19 +627,20 @@ mod tests {
     #[test]
     fn campaigns_are_deterministic_given_a_seed() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let max_steps = hang_budget_for(&clean);
-        let c1 = Campaign::new(&m, verify)
+        let c1 = Campaign::new(&m, &decoded, verify)
             .with_seed(7)
             .with_max_steps(max_steps)
             .run(&sites, 64);
-        let c2 = Campaign::new(&m, verify)
+        let c2 = Campaign::new(&m, &decoded, verify)
             .with_seed(7)
             .with_max_steps(max_steps)
             .run(&sites, 64);
-        let c3 = Campaign::new(&m, verify)
+        let c3 = Campaign::new(&m, &decoded, verify)
             .with_seed(8)
             .with_max_steps(max_steps)
             .run(&sites, 64);
@@ -605,11 +653,12 @@ mod tests {
     #[test]
     fn input_site_campaign_on_the_accumulator_is_resilient_to_overwrites() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         // The accumulator cell is overwritten by the first loop iteration, so
         // input faults at step 0 are frequently masked (Data Overwriting).
         let sites = input_sites(0, &[(ftkr_vm::Location::mem(0), ftkr_vm::Value::F(0.0))]);
-        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
+        let campaign = Campaign::new(&m, &decoded, verify).with_max_steps(hang_budget_for(&clean));
         let report = campaign.run(&sites, 64);
         assert!(
             report.success_rate() > 0.9,
@@ -621,11 +670,12 @@ mod tests {
     #[test]
     fn per_index_fault_derivation_is_deterministic_and_shardable() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
         let max_steps = hang_budget_for(&clean);
-        let campaign = Campaign::new(&m, verify)
+        let campaign = Campaign::new(&m, &decoded, verify)
             .with_seed(42)
             .with_max_steps(max_steps);
         // The fault of test i is a pure function of (seed, i).
@@ -653,7 +703,8 @@ mod tests {
     #[test]
     fn empty_site_list_yields_empty_report() {
         let m = module();
-        let campaign = Campaign::new(&m, verify);
+        let decoded = DecodedModule::decode(&m);
+        let campaign = Campaign::new(&m, &decoded, verify);
         let report = campaign.run(&[], 100);
         assert_eq!(report.counts.total(), 0);
         assert_eq!(report.n_tests, 0);
@@ -662,6 +713,7 @@ mod tests {
     #[test]
     fn sized_campaign_enumerates_small_populations() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, 2);
@@ -673,8 +725,8 @@ mod tests {
         // n = 128 / (1 + 0.03² · 127 / (1.96² · 0.25)) = 114.4… → 115.
         let expected = sample_size(population, Confidence::C95, 0.03);
         assert_eq!(expected, 115);
-        let campaign = Campaign::new(&m, verify).with_max_steps(hang_budget_for(&clean));
-        let report = campaign.run_sized(&sites, Confidence::C95, 0.03);
+        let campaign = Campaign::new(&m, &decoded, verify).with_max_steps(hang_budget_for(&clean));
+        let report = campaign.run(&sites, expected);
         assert_eq!(report.population, population);
         assert_eq!(report.n_tests, expected);
         assert_eq!(report.counts.total(), expected);
@@ -683,10 +735,11 @@ mod tests {
     #[test]
     fn sharded_run_ranges_merge_bit_identically_to_the_monolithic_run() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let campaign = Campaign::new(&m, verify)
+        let campaign = Campaign::new(&m, &decoded, verify)
             .with_seed(1234)
             .with_max_steps(hang_budget_for(&clean));
         let monolithic = campaign.run(&sites, 60);
@@ -710,6 +763,7 @@ mod tests {
     #[test]
     fn fork_point_campaign_matches_the_cold_campaign_bit_for_bit() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         // Restrict sites to the second half of the trace, then checkpoint at
@@ -722,7 +776,7 @@ mod tests {
             .snapshot_at(&m, fork)
             .unwrap()
             .expect("fork step is mid-run");
-        let campaign = Campaign::new(&m, verify)
+        let campaign = Campaign::new(&m, &decoded, verify)
             .with_seed(99)
             .with_max_steps(hang_budget_for(&clean));
         let cold = campaign.run_range(&sites, IndexRange::full(120));
@@ -742,25 +796,118 @@ mod tests {
     #[should_panic(expected = "precedes the checkpoint")]
     fn fork_point_execution_rejects_faults_before_the_checkpoint() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let snapshot = Vm::new(VmConfig::default())
             .snapshot_at(&m, trace.len() as u64 / 2)
             .unwrap()
             .unwrap();
-        let campaign = Campaign::new(&m, verify);
+        let campaign = Campaign::new(&m, &decoded, verify);
         // A fault in the restored prefix must trap loudly, not vanish.
         let _ = campaign.run_one_from(&snapshot, FaultSpec::in_result(0, 1));
+    }
+
+    /// A probe whose per-test visitor counts the events its faulty run
+    /// streams.
+    struct EventCount;
+
+    struct Counter(u64);
+
+    impl TraceVisitor for Counter {
+        fn on_event(&mut self, _: &EventCtx<'_>) {
+            self.0 += 1;
+        }
+
+        fn on_finish(&mut self, _: &WalkEnd<'_>) {}
+    }
+
+    impl Probe for EventCount {
+        type Tally = u64;
+
+        fn execute(
+            &self,
+            vm: &Vm,
+            module: &Module,
+            decoded: &DecodedModule,
+            snapshot: Option<&VmSnapshot>,
+            _fault: FaultSpec,
+        ) -> (RunResult, u64) {
+            let mut counter = Counter(0);
+            let result = match snapshot {
+                Some(snap) => {
+                    vm.resume_with_visitors_decoded(module, decoded, snap, &mut [&mut counter])
+                }
+                None => vm.run_with_visitors_decoded(module, decoded, &mut [&mut counter]),
+            };
+            (result.unwrap(), counter.0)
+        }
+
+        fn merge(a: u64, b: u64) -> u64 {
+            a + b
+        }
+    }
+
+    /// The sum16 module, second-half sites, and a checkpoint at the
+    /// earliest of them.
+    fn forkable(m: &Module) -> (RunResult, Vec<FaultSite>, VmSnapshot) {
+        let clean = clean_run(m);
+        let trace = clean.trace.as_ref().unwrap();
+        let sites = internal_sites(trace, trace.len() / 2, trace.len());
+        let fork = sites.iter().map(|s| s.at_step).min().unwrap();
+        let snapshot = Vm::new(VmConfig::default())
+            .snapshot_at(m, fork)
+            .unwrap()
+            .expect("fork step is mid-run");
+        (clean, sites, snapshot)
+    }
+
+    #[test]
+    fn probes_ride_along_without_changing_the_report() {
+        let m = module();
+        let decoded = DecodedModule::decode(&m);
+        let (clean, sites, snapshot) = forkable(&m);
+        let campaign = Campaign::new(&m, &decoded, verify)
+            .with_seed(17)
+            .with_max_steps(hang_budget_for(&clean));
+        let range = IndexRange::full(64);
+        let plain = campaign.run_range(&sites, range);
+        let (cold, cold_events) = campaign.run_range_probed(&sites, range, None, &EventCount);
+        let (forked, forked_events) =
+            campaign.run_range_probed(&sites, range, Some(&snapshot), &EventCount);
+        assert_eq!(cold, plain);
+        assert_eq!(forked, plain);
+        // Forked runs stream only the suffix after the checkpoint.
+        assert!(0 < forked_events && forked_events < cold_events);
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes the checkpoint")]
+    fn probed_fork_point_execution_rejects_faults_before_the_checkpoint() {
+        let m = module();
+        let decoded = DecodedModule::decode(&m);
+        let (clean, _, snapshot) = forkable(&m);
+        let trace = clean.trace.as_ref().unwrap();
+        let campaign = Campaign::new(&m, &decoded, verify).with_max_steps(hang_budget_for(&clean));
+        // Whole-trace sites sample faults inside the restored prefix: the
+        // check runs outside the perimeter, so the probed test panics
+        // instead of degrading to the cold executor.
+        let sites = internal_sites(trace, 0, trace.len());
+        let _ =
+            campaign.run_range_probed(&sites, IndexRange::full(32), Some(&snapshot), &EventCount);
     }
 
     #[test]
     fn panicking_verifier_is_isolated_as_a_harness_error() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
-        let poisoned = Campaign::new(&m, |_r: &RunResult| -> bool { panic!("verifier bug") })
-            .with_max_steps(hang_budget_for(&clean));
+        let poisoned = Campaign::new(&m, &decoded, |_r: &RunResult| -> bool {
+            panic!("verifier bug")
+        })
+        .with_max_steps(hang_budget_for(&clean));
         // The shard survives; every completed run classifies as a harness
         // error, and trapped runs still classify by their crash kind.
         let report = poisoned.run(&sites, 32);
@@ -779,6 +926,7 @@ mod tests {
     #[test]
     fn chaos_verifier_panics_taint_exactly_the_scheduled_tests() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let sites = internal_sites(trace, 0, trace.len());
@@ -786,7 +934,7 @@ mod tests {
             verifier_panic: 512,
             ..FailPlan::uniform(77, 0)
         };
-        let campaign = Campaign::new(&m, verify)
+        let campaign = Campaign::new(&m, &decoded, verify)
             .with_seed(5)
             .with_max_steps(hang_budget_for(&clean))
             .with_chaos(chaos);
@@ -805,6 +953,7 @@ mod tests {
     #[test]
     fn chaos_restore_failures_degrade_to_the_cold_path_with_identical_outcomes() {
         let m = module();
+        let decoded = DecodedModule::decode(&m);
         let clean = clean_run(&m);
         let trace = clean.trace.as_ref().unwrap();
         let window_start = trace.len() / 2;
@@ -815,7 +964,7 @@ mod tests {
             .unwrap()
             .expect("fork step is mid-run");
         let max_steps = hang_budget_for(&clean);
-        let reference = Campaign::new(&m, verify)
+        let reference = Campaign::new(&m, &decoded, verify)
             .with_seed(11)
             .with_max_steps(max_steps)
             .run_range(&sites, IndexRange::full(48));
@@ -823,7 +972,7 @@ mod tests {
             restore_fail: 512,
             ..FailPlan::uniform(3, 0)
         };
-        let degraded = Campaign::new(&m, verify)
+        let degraded = Campaign::new(&m, &decoded, verify)
             .with_seed(11)
             .with_max_steps(max_steps)
             .with_chaos(chaos)

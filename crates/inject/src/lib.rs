@@ -39,7 +39,7 @@ pub mod stats;
 
 pub use batch::{BatchContext, BatchScan, LaneState};
 pub use campaign::{
-    hang_budget, hang_budget_for, sample_site_fault, Campaign, CampaignReport, TestOutcome,
+    hang_budget, hang_budget_for, sample_site_fault, Campaign, CampaignReport, Probe, TestOutcome,
     DEFAULT_SEED,
 };
 pub use chaos::{FailPlan, FailSite};

@@ -1,15 +1,15 @@
 //! Decoded-vs-legacy byte identity over the whole application registry.
 //!
-//! PR 10 replaced the per-step `match` over heap `Op` enums with a
-//! pre-decoded flat-code interpreter and added a batched lockstep campaign
-//! executor.  Both optimizations are only admissible if they are
-//! *invisible*: this suite holds the decoded session executors
-//! (`Session::run_plan`, `run_plan_cold`, `run_plan_analyzed`, and batched
-//! plans) to byte-identical report JSON against a **legacy reference
-//! campaign** — an `ftkr_inject::Campaign` built without
-//! [`ftkr_inject::Campaign::with_decoded`], stepping the original `Op`
-//! representation — for every application in the registry, shard merges
-//! included.  The clean runs themselves are held to full `RunResult`
+//! Every campaign executor runs faulty runs in the pre-decoded flat-code
+//! interpreter, and the batched lockstep executor classifies masked lanes
+//! without running them at all.  Both are only admissible if they are
+//! *invisible*: this suite holds the session executors (`Session::run_plan`,
+//! `run_plan_cold`, `run_plan_analyzed`, and batched plans) to
+//! byte-identical report JSON against a **legacy reference** — an explicit
+//! serial loop that runs every test on the original `Op` interpreter
+//! (`Vm::run`, or `Vm::run_with_visitors` for the analyzed reference) and
+//! classifies it by hand — for every application in the registry, shard
+//! merges included.  The clean runs themselves are held to full `RunResult`
 //! equality (trace events, outputs, memory, step counts) under both the
 //! tracing and untraced configurations.  A dead-window memory-fault
 //! campaign on MG and LU holds the batched executor's synthesized masked
@@ -18,29 +18,57 @@
 use fliptracker::prelude::*;
 use fliptracker::AnalyzedCampaignReport;
 use fliptracker::PatternTally;
+use ftkr_apps::App;
 use ftkr_inject::{
-    sample_site_fault, BatchContext, BatchScan, Campaign, CampaignCounts, CampaignReport,
-    FaultSite, Outcome,
+    sample_site_fault, BatchContext, BatchScan, CampaignCounts, CampaignReport, FaultSite, Outcome,
 };
 use ftkr_patterns::StreamingDetector;
-use ftkr_vm::{DecodedModule, RunOutcome, Vm, VmConfig};
+use ftkr_vm::{DecodedModule, RunOutcome, RunResult, Vm, VmConfig};
 
 /// Seed distinct from the figure drivers' and the other equivalence suites'
 /// so this file samples its own fault population.
 const SEED: u64 = 0xDEC0_0DED;
 
-/// The legacy (non-decoded) reference report for a plan: same module, same
-/// registry verifier, same hang budget, same seed and shard — but every
-/// faulty run steps the original `Op` enums.
+/// The legacy reference report for a plan: same module, same registry
+/// verifier, same hang budget, same seed and shard — but one serial faulty
+/// run per test, stepping the original `Op` enums (`Vm::run`), classified
+/// and tallied like the analyzed reference below.
 fn legacy_report(session: &Session, plan: &CampaignPlan) -> CampaignReport {
     let app = session.app();
     let sites = session
         .sites(&plan.target, plan.class)
         .expect("registry targets resolve");
-    Campaign::new(&app.module, move |r| app.verify(r))
-        .with_max_steps(session.max_steps())
-        .with_seed(plan.seed)
-        .run_range(&sites, plan.shard.intersect(IndexRange::full(plan.n_tests)))
+    let shard = plan.shard.intersect(IndexRange::full(plan.n_tests));
+    let n_tests = if sites.is_empty() { 0 } else { shard.len() };
+    let mut counts = CampaignCounts::default();
+    for index in shard.start..shard.start + n_tests {
+        let fault = sample_site_fault(plan.seed, &sites, index);
+        let result = Vm::new(VmConfig {
+            fault: Some(fault),
+            max_steps: session.max_steps(),
+            ..VmConfig::default()
+        })
+        .run(&app.module)
+        .expect("module verifies");
+        counts.record(legacy_outcome(app, &result));
+    }
+    CampaignReport {
+        counts,
+        n_tests,
+        population: sites.len() as u64 * 64,
+        seed: plan.seed,
+    }
+}
+
+/// The paper's three-way classification of one faulty run, by hand:
+/// traps carry their crash kind, completed runs are judged by the
+/// registry verifier.
+fn legacy_outcome(app: &App, result: &RunResult) -> Outcome {
+    match result.outcome {
+        RunOutcome::Trapped(trap) => Outcome::crashed(trap),
+        RunOutcome::Completed if app.verify(result) => Outcome::VerificationSuccess,
+        RunOutcome::Completed => Outcome::VerificationFailed,
+    }
 }
 
 /// Clean (fault-free) runs through the decoded dispatch tables are
@@ -160,17 +188,7 @@ fn analyzed_decoded_reports_match_a_legacy_streamed_reference_for_every_app() {
             })
             .run_with_visitors(&app.module, &mut [&mut detector])
             .expect("module verifies");
-            let outcome = match result.outcome {
-                RunOutcome::Trapped(trap) => Outcome::crashed(trap),
-                RunOutcome::Completed => {
-                    if app.verify(&result) {
-                        Outcome::VerificationSuccess
-                    } else {
-                        Outcome::VerificationFailed
-                    }
-                }
-            };
-            counts.record(outcome);
+            counts.record(legacy_outcome(app, &result));
             let found = detector.into_patterns();
             for p in &found {
                 patterns.record(p.kind, 1);

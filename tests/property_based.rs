@@ -526,7 +526,8 @@ proptest! {
                 .map(|v| (v[0] - reference).abs() <= reference.abs() * 0.05 + 1e-12)
                 .unwrap_or(false)
         };
-        let campaign = Campaign::new(&module, verify)
+        let decoded = ftkr_vm::DecodedModule::decode(&module);
+        let campaign = Campaign::new(&module, &decoded, verify)
             .with_seed(seed)
             .with_max_steps(ftkr_inject::hang_budget(clean.steps));
         let monolithic = campaign.run(&sites, n_tests);
